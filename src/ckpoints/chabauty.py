@@ -37,6 +37,7 @@ from .padic import (
     PadicRing,
     PadicScalar,
     formal_integrate,
+    ilog,
     padic_poly_roots,
     truncated_discriminant,
 )
@@ -62,7 +63,7 @@ class DiscSeries:
 
     def series_value(self, t: PadicScalar, i: int) -> PadicScalar:
         p = self.chart.ring.p
-        tail = -_ilog(p, self.series[i].order + 1)
+        tail = -ilog(p, self.series[i].order + 1)
         return self.series[i].evaluate(t, tail)
 
 
@@ -93,13 +94,6 @@ class ChabautyOutput:
     @property
     def rational_points(self) -> list[Point]:
         return [c.rational for c in self.rational]
-
-
-def _ilog(p: int, n: int) -> int:
-    k = 0
-    while p ** (k + 1) <= n:
-        k += 1
-    return k
 
 
 def _reduce_rational(point: Point, p: int) -> Point:
@@ -162,7 +156,7 @@ def disc_series(
         if shift < 0:
             raise PrecisionExhausted("holomorphic pullback with a pole (internal)")
         # re-anchor so that f_i(0) is the integral from infinity to the center
-        tail = -_ilog(p, anti.order + 1)
+        tail = -ilog(p, anti.order + 1)
         const = offsets[i] - anti.evaluate(t_base, tail)
         f_i = anti + PadicPowerSeries.constant(const, anti.order)
         series.append(f_i)

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .cohomology import FrobeniusAction, jacobian_order_fp
 from .curve import HyperellipticCurve, Point, reduce_point
-from .errors import NotTorsionConsistent
+from .errors import CkError, NotTorsionConsistent
+from .intpoly import add, divmod_monic, evaluate, monic, mul, scale, xgcd
 from .padic import PadicRing, PadicScalar, hensel_simple_root, hensel_sqrt
 
 
@@ -116,7 +117,7 @@ def algebraic_dependency(a: PadicScalar, max_degree: int = 2, slack: int = 3) ->
                 continue
             if max(abs(c) for c in g) > threshold:
                 continue
-            if _poly_eval_mod(g, lift, p ** max(prec - slack, 1)) != 0:
+            if evaluate(g, lift, p ** max(prec - slack, 1)) != 0:
                 continue
             g = _irreducible_or_factor(g, lift, p, prec, slack)
             if g is None:
@@ -138,13 +139,6 @@ def _normalize_poly(coeffs: list[int]) -> list[int] | None:
     if coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
     return coeffs
-
-
-def _poly_eval_mod(coeffs: list[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
 
 
 def _irreducible_or_factor(g, lift, p, prec, slack):
@@ -217,84 +211,8 @@ def _lll(basis: list[list[int]], delta=Fraction(3, 4)) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers and Cantor's algorithm
+# Cantor's algorithm
 # ---------------------------------------------------------------------------
-
-
-def _fp_trim(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim(
-        [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)], p
-    )
-
-
-def _fp_neg(a, p):
-    return [(-c) % p for c in a]
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out, p)
-
-
-def _fp_divmod(a, b, p):
-    a = _fp_trim(list(a), p)
-    b = _fp_trim(list(b), p)
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] * inv % p
-        off = len(a) - len(b)
-        q[off] = c
-        for i in range(len(b)):
-            a[off + i] = (a[off + i] - c * b[i]) % p
-        a = _fp_trim(a, p)
-        if not a:
-            break
-    return _fp_trim(q, p), a
-
-
-def _fp_xgcd(a, b, p):
-    """Monic gcd g and (s, t) with s*a + t*b = g."""
-    r0, r1 = _fp_trim(list(a), p), _fp_trim(list(b), p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_add(s0, _fp_neg(_fp_mul(q, s1, p), p), p)
-        t0, t1 = t1, _fp_add(t0, _fp_neg(_fp_mul(q, t1, p), p), p)
-    if not r0:
-        return [], s0, t0
-    inv = pow(r0[-1], -1, p)
-    return (
-        [c * inv % p for c in r0],
-        [c * inv % p for c in s0],
-        [c * inv % p for c in t0],
-    )
-
-
-def _fp_monic(a, p):
-    a = _fp_trim(list(a), p)
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
 
 
 @dataclass(frozen=True)
@@ -330,37 +248,41 @@ def cantor_compose_reduce(
     fbar = curve.fp_coeffs(p)
     u1, v1 = list(d1.u), list(d1.v)
     u2, v2 = list(d2.u), list(d2.v)
-    e, e1, e2 = _fp_xgcd(u1, u2, p)
-    d, c1, c2 = _fp_xgcd(e, _fp_add(v1, v2, p), p)
+    e, e1, e2 = xgcd(u1, u2, p)
+    d, c1, c2 = xgcd(e, add(v1, v2, p), p)
     if not d:
         d, c1, c2 = [1], [1], []
-    s1 = _fp_mul(c1, e1, p)
-    s2 = _fp_mul(c1, e2, p)
+    s1 = mul(c1, e1, p)
+    s2 = mul(c1, e2, p)
     s3 = c2
-    u1u2, rem = _fp_divmod(_fp_mul(u1, u2, p), _fp_mul(d, d, p), p)
-    assert not rem
+    # every divisor below is monic: d from xgcd, u1u2 and u_new by construction
+    u1u2, rem = divmod_monic(mul(u1, u2, p), mul(d, d, p), p)
+    if rem:
+        raise NotTorsionConsistent("d^2 does not divide u1 u2 in Cantor composition")
     # v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + F)) / d mod u
-    t = _fp_add(
-        _fp_add(_fp_mul(_fp_mul(s1, u1, p), v2, p), _fp_mul(_fp_mul(s2, u2, p), v1, p), p),
-        _fp_mul(s3, _fp_add(_fp_mul(v1, v2, p), fbar, p), p),
+    t = add(
+        add(mul(mul(s1, u1, p), v2, p), mul(mul(s2, u2, p), v1, p), p),
+        mul(s3, add(mul(v1, v2, p), fbar, p), p),
         p,
     )
-    tq, trem = _fp_divmod(t, d, p)
-    assert not trem
-    _, v = _fp_divmod(tq, u1u2, p)
+    tq, trem = divmod_monic(t, d, p)
+    if trem:
+        raise NotTorsionConsistent("d does not divide the composed v in Cantor composition")
+    _, v = divmod_monic(tq, u1u2, p)
     u = u1u2
     # reduction: replace (u, v) by ((F - v^2)/u, -v mod new u) until deg u <= g
     while len(u) - 1 > g:
-        num = _fp_add(fbar, _fp_neg(_fp_mul(v, v, p), p), p)
-        u_new, rem = _fp_divmod(num, u, p)
-        assert not rem
-        u_new = _fp_monic(u_new, p)
-        _, v_new = _fp_divmod(_fp_neg(v, p), u_new, p)
+        num = add(fbar, scale(mul(v, v, p), -1, p), p)
+        u_new, rem = divmod_monic(num, u, p)
+        if rem:
+            raise NotTorsionConsistent("u does not divide F - v^2 in Cantor reduction")
+        u_new = monic(u_new, p)
+        _, v_new = divmod_monic(scale(v, -1, p), u_new, p)
         u, v = u_new, v_new
-    u = _fp_monic(u, p)
+    u = monic(u, p)
     if not u:
         u = [1]
-    return MumfordDivisor(tuple(u), tuple(_fp_trim(v, p)), p)
+    return MumfordDivisor(tuple(u), tuple(v), p)
 
 
 def cantor_scalar_mul(
@@ -497,7 +419,7 @@ def _refine_from_min_poly(point, poly, curve, ring) -> Point:
     p = ring.p
     try:
         x = hensel_simple_root(ring.poly(poly), point.x.lift() % p)
-    except Exception:
+    except (CkError, ValueError):
         return point
     if not (x - point.x).is_zero:
         return point
@@ -505,6 +427,6 @@ def _refine_from_min_poly(point, poly, curve, ring) -> Point:
         return Point(x, ring.zero())
     try:
         y = hensel_sqrt(curve.padic_poly(ring).evaluate(x), point.y.lift() % p)
-    except Exception:
+    except (CkError, ValueError):
         return point
     return Point(x, y)

@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .curve import HyperellipticCurve, Point
 from .errors import BadReduction, PoleAtPoint, PrecisionExhausted, RoundingAmbiguous
-from .padic import PadicPoly, PadicRing, PadicScalar, int_valuation
+from .intpoly import add, divmod_monic, mul, scale, trim, xgcd
+from .padic import PadicPoly, PadicRing, PadicScalar, ilog, int_valuation
 
 
 @dataclass
@@ -51,93 +52,6 @@ class FrobeniusAction:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (ascending coefficient lists, arithmetic mod m)
-# ---------------------------------------------------------------------------
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % m
-    return _trim(out)
-
-
-def _padd(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        s = (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        out[i] = s % m
-    return _trim(out)
-
-
-def _pscale(a: list[int], c: int, m: int) -> list[int]:
-    return _trim([x * c % m for x in a])
-
-
-def _pdivmod_monic(a: list[int], f: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Divide by a monic polynomial f; exact over Z/m."""
-    df = len(f) - 1
-    r = list(a)
-    if len(r) - 1 < df:
-        return [], _trim(r)
-    q = [0] * (len(r) - df)
-    for i in range(len(r) - 1, df - 1, -1):
-        c = r[i] % m
-        if c:
-            q[i - df] = c
-            for k in range(df + 1):
-                r[i - df + k] = (r[i - df + k] - c * f[k]) % m
-    return _trim(q), _trim(r[:df])
-
-
-def _fp_poly_inverse_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """Inverse of a modulo the monic polynomial f over F_p (xgcd)."""
-
-    def deg(h):
-        for i in range(len(h) - 1, -1, -1):
-            if h[i] % p:
-                return i
-        return -1
-
-    r0, r1 = [c % p for c in f], [c % p for c in a]
-    s0, s1 = [0], [1]
-    while True:
-        d1 = deg(r1)
-        if d1 < 0:
-            raise BadReduction("F' is not invertible mod (F, p): bad reduction")
-        if d1 == 0:
-            inv = pow(r1[0], -1, p)
-            return _trim([c * inv % p for c in s1])
-        d0 = deg(r0)
-        inv = pow(r1[d1], -1, p)
-        while d0 >= d1:
-            c = r0[d0] * inv % p
-            for k in range(d1 + 1):
-                r0[d0 - d1 + k] = (r0[d0 - d1 + k] - c * r1[k]) % p
-            shift = d0 - d1
-            for k in range(len(s1)):
-                idx = shift + k
-                while idx >= len(s0):
-                    s0.append(0)
-                s0[idx] = (s0[idx] - c * s1[k]) % p
-            d0 = deg(r0)
-        r0, r1 = r1, _trim(r0[: d0 + 1]) if d0 >= 0 else []
-        s0, s1 = s1, s0
-
-
-# ---------------------------------------------------------------------------
 # The reduction sweep
 # ---------------------------------------------------------------------------
 
@@ -145,12 +59,13 @@ def _fp_poly_inverse_mod(a: list[int], f: list[int], p: int) -> list[int]:
 class _ReductionState:
     """Mutable state for one reduction: levels, corrections, running scale."""
 
-    def __init__(self, fints, dints, sfints, p, modulus, genus):
+    def __init__(self, fints, dints, sfints, p, nw, genus):
         self.f = fints
         self.df = dints
         self.sf = sfints  # (F')^{-1} mod F
         self.p = p
-        self.m = modulus
+        self.nw = nw
+        self.m = p**nw
         self.g = genus
         self.e = 0  # running power-of-p denominator of everything stored
         self.levels: dict[int, list[int]] = {}
@@ -161,11 +76,11 @@ class _ReductionState:
         if level <= 0:
             extra = poly
             for _ in range(-level):
-                extra = _pmul(extra, self.f, self.m)
-            self.level0 = _padd(self.level0, extra, self.m)
+                extra = mul(extra, self.f, self.m)
+            self.level0 = add(self.level0, extra, self.m)
         else:
             cur = self.levels.get(level)
-            self.levels[level] = _padd(cur, poly, self.m) if cur else _trim(list(poly))
+            self.levels[level] = add(cur, poly, self.m) if cur else trim(list(poly))
 
     def _bump(self, v: int):
         """Divide the global scale by p^v: multiply all stored data by p^v."""
@@ -174,10 +89,10 @@ class _ReductionState:
         c = self.p**v
         m = self.m
         for lvl, poly in self.levels.items():
-            self.levels[lvl] = _pscale(poly, c, m)
-        self.level0 = _pscale(self.level0, c, m)
+            self.levels[lvl] = scale(poly, c, m)
+        self.level0 = scale(self.level0, c, m)
         for w, poly in self.corrections.items():
-            self.corrections[w] = _pscale(poly, c, m)
+            self.corrections[w] = scale(poly, c, m)
         self.e += v
 
     def sweep(self):
@@ -191,22 +106,22 @@ class _ReductionState:
                 continue
             d = 1 - 2 * s
             v = int_valuation(d, p)
-            b = _pmul(b_in, self.sf, m)
-            _, b = _pdivmod_monic(b, self.f, m)
-            num = _padd(b_in, _pscale(_pmul(b, self.df, m), -1, m), m)
-            a, rem = _pdivmod_monic(num, self.f, m)
+            b = mul(b_in, self.sf, m)
+            _, b = divmod_monic(b, self.f, m)
+            num = add(b_in, scale(mul(b, self.df, m), -1, m), m)
+            a, rem = divmod_monic(num, self.f, m)
             if rem:
                 raise PrecisionExhausted("pole reduction lost exactness (internal)")
-            db = _trim([i * b[i] % m for i in range(1, len(b))])
+            db = trim([i * b[i] % m for i in range(1, len(b))])
             self._bump(v)
             u_inv = pow(d // p**v, -1, m)
             # after the bump, dividing by d means multiplying the pieces
             # built from the pre-bump data by the inverse of its unit part
-            carry = _padd(_pscale(a, p**v, m), _pscale(db, -2 * u_inv % m, m), m)
-            corr = _pscale(b, u_inv, m)
+            carry = add(scale(a, p**v, m), scale(db, -2 * u_inv % m, m), m)
+            corr = scale(b, u_inv, m)
             if corr:
                 cur = self.corrections.get(1 - 2 * s)
-                self.corrections[1 - 2 * s] = _padd(cur, corr, m) if cur else corr
+                self.corrections[1 - 2 * s] = add(cur, corr, m) if cur else corr
             self.add(s - 1, carry)
         # level 0: lower the polynomial degree below 2g via d(x^(j-2g) y)
         while len(self.level0) - 1 >= two_g:
@@ -226,53 +141,49 @@ class _ReductionState:
                     dj[j - two_g - 1 + k] = (dj[j - two_g - 1 + k] + 2 * (j - two_g) * self.f[k]) % m
             for k in range(1, len(self.f)):
                 dj[j - two_g + k - 1] = (dj[j - two_g + k - 1] + k * self.f[k]) % m
-            self.level0 = _padd(self.level0, _pscale(dj, -piece % m, m), m)
+            self.level0 = add(self.level0, scale(dj, -piece % m, m), m)
             if len(self.level0) - 1 >= j and self.level0 and self.level0[-1] != 0:
                 raise PrecisionExhausted("degree reduction failed to cancel (internal)")
             cur = self.corrections.get(1)
             mono = [0] * (j - two_g) + [piece]
-            self.corrections[1] = _padd(cur, mono, m) if cur else mono
+            self.corrections[1] = add(cur, mono, m) if cur else mono
 
     def published(self, ring: PadicRing, n_target: int):
         """Basis coefficients and corrections as PadicScalars at n_target."""
-        achieved = _nw_digits(self.m, self.p) - self.e
+        achieved = self.nw - self.e
         if achieved < n_target:
             raise PrecisionExhausted(f"achieved {achieved} < requested {n_target}")
-        col = []
-        for j in range(2 * self.g):
-            c = self.level0[j] if j < len(self.level0) else 0
-            col.append(_scaled_scalar(c, self.e, self.p, self.m, n_target))
+
+        def scalar(value: int) -> PadicScalar:
+            return PadicScalar.from_int(value % self.m, self.p, self.nw).shift(-self.e).cap(n_target)
+
+        col = [scalar(self.level0[j] if j < len(self.level0) else 0) for j in range(2 * self.g)]
         corr = {}
         for w, poly in sorted(self.corrections.items()):
-            coeffs = [_scaled_scalar(c, self.e, self.p, self.m, n_target) for c in poly]
-            if coeffs:
-                corr[w] = PadicPoly(coeffs, self.p)
+            if poly:
+                corr[w] = PadicPoly([scalar(c) for c in poly], self.p)
         return col, corr
 
 
-def _nw_digits(modulus: int, p: int) -> int:
-    n = 0
-    while modulus > 1:
-        modulus //= p
-        n += 1
-    return n
+def _residues(values, m: int) -> list[int]:
+    """Rationals with denominators prime to m as integers modulo m."""
+    return [Fraction(c).numerator * pow(Fraction(c).denominator, -1, m) % m for c in values]
 
 
-def _scaled_scalar(value: int, e: int, p: int, modulus: int, n_target: int) -> PadicScalar:
-    nw = _nw_digits(modulus, p)
-    return PadicScalar.from_int(value % modulus, p, nw).shift(-e).cap(n_target)
+def _reduction_data(curve: HyperellipticCurve, p: int, nw: int):
+    """F, F' and (F')^{-1} mod F as integer lists modulo p^nw."""
+    m = p**nw
+    f = _residues(curve.coeffs, m)
+    df = [i * f[i] % m for i in range(1, len(f))]
+    gcd, sf_p, _ = xgcd(df, f, p)
+    if gcd != [1]:
+        raise BadReduction("F' is not invertible mod (F, p): bad reduction")
+    return f, df, _lift_poly_inverse(df, sf_p, f, p, nw)
 
 
 # ---------------------------------------------------------------------------
 # Frobenius action
 # ---------------------------------------------------------------------------
-
-
-def _ilog(p: int, n: int) -> int:
-    k = 0
-    while p**(k + 1) <= n:
-        k += 1
-    return k
 
 
 def frobenius_action(curve: HyperellipticCurve, p: int, precision: int) -> FrobeniusAction:
@@ -296,7 +207,7 @@ def frobenius_action(curve: HyperellipticCurve, p: int, precision: int) -> Frobe
     k_max = n_target + 4
     for _ in range(3):
         s_max = p * k_max + (p - 1) // 2
-        chain_loss = _ilog(p, 2 * s_max + 1) + _ilog(p, 2 * (7 * p + 50) + 1) + 1
+        chain_loss = ilog(p, 2 * s_max + 1) + ilog(p, 2 * (7 * p + 50) + 1) + 1
         k_max = n_target + chain_loss + 2
     s_max = p * k_max + (p - 1) // 2
 
@@ -315,10 +226,7 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
     g = curve.genus
     deg = 2 * g + 1
     m = p**nw
-    f = [int(Fraction(c).numerator * pow(Fraction(c).denominator, -1, m) % m) for c in curve.coeffs]
-    df = [i * f[i] % m for i in range(1, deg + 1)]
-    sf_p = _fp_poly_inverse_mod([c % p for c in df], [c % p for c in f], p)
-    sf = _lift_poly_inverse(df, sf_p, f, p, nw)
+    f, df, sf = _reduction_data(curve, p, nw)
 
     # E = (F(x^p) - F(x)^p)/p, exact mod p^nw
     m1 = p ** (nw + 1)
@@ -331,17 +239,17 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
     k = p
     while k:
         if k & 1:
-            fp_pow = _pmul(fp_pow, base, m1)
+            fp_pow = mul(fp_pow, base, m1)
         k >>= 1
         if k:
-            base = _pmul(base, base, m1)
-    diff = _padd(fxp, _pscale(fp_pow, -1, m1), m1)
+            base = mul(base, base, m1)
+    diff = add(fxp, scale(fp_pow, -1, m1), m1)
     e_poly = []
     for c in diff:
         if c % p != 0:
             raise PrecisionExhausted("F(x^p) != F(x)^p mod p (internal)")
         e_poly.append(c // p % m)
-    e_poly = _trim(e_poly)
+    e_poly = trim(e_poly)
 
     e_digits = _fadic_digits(e_poly, f, m)
 
@@ -353,10 +261,10 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
         ck = (-1) ** k * math.comb(2 * k, k)
         scalar = ck * pow(pow(4, -1, m), k, m) % m * pow(p, k + 1, m) % m
         for lvl, poly in t_rep.items():
-            scaled = _pscale(poly, scalar, m)
+            scaled = scale(poly, scalar, m)
             if scaled:
                 cur = acc.get(lvl)
-                acc[lvl] = _padd(cur, scaled, m) if cur else scaled
+                acc[lvl] = add(cur, scaled, m) if cur else scaled
         if k == k_max:
             break
         t_rep = _mul_by_w(t_rep, e_digits, f, p, m)
@@ -368,13 +276,13 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
     for i in range(2 * g):
         mono = [0] * (p * i + p - 1) + [1]
         digits = _fadic_digits(mono, f, m)
-        state = _ReductionState(f, df, sf, p, m, g)
+        state = _ReductionState(f, df, sf, p, nw, g)
         for lvl, poly in acc.items():
             for mm, dig in enumerate(digits):
                 if not dig:
                     continue
-                prod = _pmul(poly, dig, m)
-                hi, lo = _pdivmod_monic(prod, f, m)
+                prod = mul(poly, dig, m)
+                hi, lo = divmod_monic(prod, f, m)
                 target = lvl + half_shift - mm
                 if lo:
                     state.add(target, lo)
@@ -391,9 +299,9 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
 def _fadic_digits(poly: list[int], f: list[int], m: int) -> list[list[int]]:
     """F-adic digits: poly = sum digits[k] * F^k with deg digits[k] < deg F."""
     digits = []
-    cur = _trim(list(poly))
+    cur = trim(list(poly))
     while cur:
-        cur, rem = _pdivmod_monic(cur, f, m)
+        cur, rem = divmod_monic(cur, f, m)
         digits.append(rem)
     return digits or [[]]
 
@@ -405,16 +313,16 @@ def _mul_by_w(rep: dict[int, list[int]], e_digits, f, p, m) -> dict[int, list[in
         for mm, dig in enumerate(e_digits):
             if not dig:
                 continue
-            prod = _pmul(poly, dig, m)
-            hi, lo = _pdivmod_monic(prod, f, m)
+            prod = mul(poly, dig, m)
+            hi, lo = divmod_monic(prod, f, m)
             if lo:
                 tgt = lvl + p - mm
                 cur = out.get(tgt)
-                out[tgt] = _padd(cur, lo, m) if cur else lo
+                out[tgt] = add(cur, lo, m) if cur else lo
             if hi:
                 tgt = lvl + p - mm - 1
                 cur = out.get(tgt)
-                out[tgt] = _padd(cur, hi, m) if cur else hi
+                out[tgt] = add(cur, hi, m) if cur else hi
     return out
 
 
@@ -425,11 +333,11 @@ def _lift_poly_inverse(a: list[int], inv_p: list[int], f: list[int], p: int, nw:
     while known < nw:
         known = min(2 * known, nw)
         mk = p**known
-        prod = _pmul(a, s, mk)
-        _, prod = _pdivmod_monic(prod, f, mk)
-        two_minus = _padd([2], _pscale(prod, -1, mk), mk)
-        s = _pmul(s, two_minus, mk)
-        _, s = _pdivmod_monic(s, f, mk)
+        prod = mul(a, s, mk)
+        _, prod = divmod_monic(prod, f, mk)
+        two_minus = add([2], scale(prod, -1, mk), mk)
+        s = mul(s, two_minus, mk)
+        _, s = divmod_monic(s, f, mk)
     return s
 
 
@@ -451,15 +359,8 @@ def reduce_odd_differential(
     """
     p = ring.p
     nw = ring.prec + pole_level + 8
-    m = p**nw
-    deg = curve.degree
-    f = [int(Fraction(c).numerator * pow(Fraction(c).denominator, -1, m) % m) for c in curve.coeffs]
-    df = [i * f[i] % m for i in range(1, deg + 1)]
-    sf_p = _fp_poly_inverse_mod([c % p for c in df], [c % p for c in f], p)
-    sf = _lift_poly_inverse(df, sf_p, f, p, nw)
-    state = _ReductionState(f, df, sf, p, m, curve.genus)
-    num = [int(Fraction(c).numerator * pow(Fraction(c).denominator, -1, m) % m) for c in numerator]
-    state.add(pole_level, _trim(num))
+    state = _ReductionState(*_reduction_data(curve, p, nw), p, nw, curve.genus)
+    state.add(pole_level, trim(_residues(numerator, p**nw)))
     state.sweep()
     return state.published(ring, ring.prec)
 

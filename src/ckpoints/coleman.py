@@ -33,6 +33,7 @@ from .padic import (
     PadicScalar,
     formal_integrate,
     hensel_sqrt,
+    ilog,
     solve_linear_system,
 )
 
@@ -64,13 +65,6 @@ def _vector(values, start, end, p) -> IntegralVector:
 def _zero_vector(curve, start, end, ring) -> IntegralVector:
     z = [ring.zero() for _ in range(2 * curve.genus)]
     return _vector(z, start, end, ring.p)
-
-
-def _ilog(p: int, n: int) -> int:
-    k = 0
-    while p ** (k + 1) <= n:
-        k += 1
-    return k
 
 
 def _is_weierstrass_center(point: Point) -> bool:
@@ -131,7 +125,7 @@ def _integrate_pullback(series, shift, t0, t1, ring) -> PadicScalar:
     p = ring.p
     if shift == 0:
         anti = formal_integrate(series)
-        tail = -_ilog(p, anti.order + 1)
+        tail = -ilog(p, anti.order + 1)
         return anti.evaluate(t1, tail) - anti.evaluate(t0, tail)
 
     # Laurent case (infinity disc): integrate termwise; the exponent -1
@@ -148,7 +142,7 @@ def _integrate_pullback(series, shift, t0, t1, ring) -> PadicScalar:
                 continue
             acc = acc + c.div_int(e + 1) * t ** (e + 1)
         tail_exp = shift + series.order + 1
-        cap = tail_exp * t.val - _ilog(p, abs(tail_exp) + series.order + 2)
+        cap = tail_exp * t.val - ilog(p, abs(tail_exp) + series.order + 2)
         return acc.cap(cap)
 
     return eval_at(t1) - eval_at(t0)

@@ -21,6 +21,7 @@ from .errors import (
     PrecisionExhausted,
     SingularModel,
 )
+from .intpoly import evaluate, xgcd
 from .padic import (
     PadicPoly,
     PadicPowerSeries,
@@ -102,10 +103,7 @@ class HyperellipticCurve:
         return out
 
     def fp_eval(self, x: int, p: int) -> int:
-        acc = 0
-        for c in reversed(self.fp_coeffs(p)):
-            acc = (acc * x + c) % p
-        return acc
+        return evaluate(self.fp_coeffs(p), x, p)
 
     def padic_poly(self, ring: PadicRing) -> PadicPoly:
         return ring.poly(self.coeffs)
@@ -118,7 +116,7 @@ class HyperellipticCurve:
                 return False
         fbar = self.fp_coeffs(p)
         dbar = [i * fbar[i] % p for i in range(1, len(fbar))]
-        return _fp_gcd_is_one(fbar, dbar, p)
+        return xgcd(fbar, dbar, p)[0] == [1]
 
     def contains(self, point: Point) -> bool:
         """Exact check for rational points; precision check for p-adic ones."""
@@ -199,9 +197,7 @@ def enumerate_fp_points(curve: HyperellipticCurve, p: int) -> list[Point]:
         sqrt_table.setdefault(y * y % p, y)
     points = [INFINITY]
     for x in range(p):
-        acc = 0
-        for c in reversed(fbar):
-            acc = (acc * x + c) % p
+        acc = evaluate(fbar, x, p)
         if acc == 0:
             points.append(Point(x, 0))
         elif acc in sqrt_table:
@@ -586,30 +582,6 @@ def _resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
         if dr < 0:
             return Fraction(0)
         f, g = g, r[: dr + 1]
-
-
-def _fp_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
-    def deg(h):
-        for i in range(len(h) - 1, -1, -1):
-            if h[i] % p != 0:
-                return i
-        return -1
-
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while True:
-        da, db = deg(a), deg(b)
-        if db < 0:
-            return da == 0
-        if db == 0:
-            return True
-        inv = pow(b[db], -1, p)
-        while da >= db:
-            q = a[da] * inv % p
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - q * b[i]) % p
-            da = deg(a)
-        a, b = b, a[: da + 1] if da >= 0 else [0]
 
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]

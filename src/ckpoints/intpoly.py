@@ -1,0 +1,108 @@
+"""Polynomial arithmetic over Z/m on ascending coefficient lists.
+
+a[i] is the coefficient of x^i; a trimmed list has no trailing zeros and the
+zero polynomial is [].  Results come back trimmed with coefficients in
+[0, m) whenever the inputs are reduced.  The Frobenius reduction runs these
+routines on Z/p^N, Cantor's algorithm and the good-reduction test on F_p,
+and the Z_p root finder evaluates with them, so the hot loops are plain
+integer code with no per-call normalisation.
+"""
+
+from __future__ import annotations
+
+
+def trim(a: list[int]) -> list[int]:
+    """Drop trailing zeros in place; returns a."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def mul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % m
+    return trim(out)
+
+
+def add(a: list[int], b: list[int], m: int) -> list[int]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        s = (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+        out[i] = s % m
+    return trim(out)
+
+
+def scale(a: list[int], c: int, m: int) -> list[int]:
+    return trim([x * c % m for x in a])
+
+
+def divmod_monic(a: list[int], f: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by f; f must be trimmed with f[-1] == 1."""
+    df = len(f) - 1
+    r = list(a)
+    if len(r) - 1 < df:
+        return [], trim(r)
+    q = [0] * (len(r) - df)
+    for i in range(len(r) - 1, df - 1, -1):
+        c = r[i] % m
+        if c:
+            q[i - df] = c
+            for k in range(df + 1):
+                r[i - df + k] = (r[i - df + k] - c * f[k]) % m
+    return trim(q), trim(r[:df])
+
+
+def monic(a: list[int], p: int) -> list[int]:
+    """a reduced mod the prime p and divided by its leading coefficient."""
+    a = trim([c % p for c in a])
+    if not a:
+        return a
+    return scale(a, pow(a[-1], -1, p), p)
+
+
+def xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
+    """Monic gcd g over F_p and cofactors s, t with s*a + t*b = g.
+
+    s and t are the extended-Euclid cofactors, of minimal degree
+    (deg s < deg b - deg g, deg t < deg a - deg g); g is [] when a and b
+    both vanish mod p.
+    """
+    r0, r1 = trim([c % p for c in a]), trim([c % p for c in b])
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        q, r = divmod_monic(r0, scale(r1, inv, p), p)
+        neg_q = scale(q, -inv, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, add(s0, mul(neg_q, s1, p), p)
+        t0, t1 = t1, add(t0, mul(neg_q, t1, p), p)
+    if not r0:
+        return [], s0, t0
+    inv = pow(r0[-1], -1, p)
+    return scale(r0, inv, p), scale(s0, inv, p), scale(t0, inv, p)
+
+
+def evaluate(a: list[int], x: int, m: int) -> int:
+    """a(x) mod m by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def taylor_shift(a: list[int], r: int) -> list[int]:
+    """Coefficients of a(x + r), exact over Z."""
+    out = list(a)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += r * out[j + 1]
+    return out

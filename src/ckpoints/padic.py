@@ -25,6 +25,7 @@ from .errors import (
     SingularSystem,
     ZeroSeed,
 )
+from .intpoly import evaluate, taylor_shift
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -36,6 +37,14 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def ilog(p: int, n: int) -> int:
+    """Largest k with p^k <= n (0 when n < p)."""
+    k = 0
+    while p ** (k + 1) <= n:
+        k += 1
+    return k
 
 
 class PadicScalar:
@@ -594,24 +603,17 @@ def hensel_simple_root(f: PadicPoly, seed: int) -> PadicScalar:
             raise ValueError("hensel_simple_root requires p-integral coefficients")
     cs = [c.cap(prec).lift() for c in f.coeffs]
     ds = [i * cs[i] for i in range(1, len(cs))]
-
-    def ev(poly, x, m):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % m
-        return acc
-
     seed %= p
-    if ev(cs, seed, p) != 0:
+    if evaluate(cs, seed, p) != 0:
         raise NotSimpleRoot(f"{seed} is not a root mod {p}")
-    if ev(ds, seed, p) == 0:
+    if evaluate(ds, seed, p) == 0:
         raise NotSimpleRoot(f"derivative vanishes at {seed} mod {p}")
     x = seed
     k = 1
     while k < prec:
         k = min(2 * k, prec)
         m = p**k
-        x = (x - ev(cs, x, m) * pow(ev(ds, x, m), -1, m)) % m
+        x = (x - evaluate(cs, x, m) * pow(evaluate(ds, x, m), -1, m)) % m
     return PadicScalar.from_int(x, p, prec)
 
 
@@ -643,13 +645,6 @@ def formal_derivative(s: PadicPowerSeries) -> PadicPowerSeries:
 # ---------------------------------------------------------------------------
 
 
-def _int_poly_eval(coeffs: list[int], x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
-
-
 def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tuple[int, int]]:
     """All Z_p roots of the integer polynomial, as (residue, known-mod-p^k)."""
     if budget < 1:
@@ -663,9 +658,9 @@ def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tu
     deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
     out: list[tuple[int, int]] = []
     for r in range(p):
-        if _int_poly_eval(fp, r, p) != 0:
+        if evaluate(fp, r, p) != 0:
             continue
-        if _int_poly_eval(dfp, r, p) != 0:
+        if evaluate(dfp, r, p) != 0:
             # simple root mod p: classical Hensel, unique root in this class
             m = p**budget
             x = r
@@ -673,13 +668,13 @@ def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tu
             while k < budget:
                 k = min(2 * k, budget)
                 mk = p**k
-                fx = _int_poly_eval(coeffs, x, mk)
-                dfx = _int_poly_eval(deriv, x, mk)
+                fx = evaluate(coeffs, x, mk)
+                dfx = evaluate(deriv, x, mk)
                 x = (x - fx * pow(dfx, -1, mk)) % mk
             out.append((x % m, budget))
         else:
             # cluster: zoom into the residue with x = r + p*u
-            shifted = _taylor_shift(coeffs, r)
+            shifted = taylor_shift(coeffs, r)
             g = [shifted[i] * p**i for i in range(len(shifted))]
             nonzero = [c for c in g if c != 0]
             if not nonzero:
@@ -692,16 +687,6 @@ def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tu
             for u, k in _zp_roots_int(g, p, sub_budget, depth + 1):
                 know = min(budget, 1 + k)
                 out.append(((r + p * u) % p**know, know))
-    return out
-
-
-def _taylor_shift(coeffs: list[int], r: int) -> list[int]:
-    """Coefficients of f(x + r)."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += r * out[j + 1]
     return out
 
 
@@ -733,21 +718,21 @@ def padic_poly_roots(f: PadicPoly) -> list[PadicScalar]:
     roots: list[PadicScalar] = []
     for x, k in raw:
         m = p**prec
-        fx = _int_poly_eval(ints, x, m)
-        dfx = _int_poly_eval(deriv, x, m)
+        fx = evaluate(ints, x, m)
+        dfx = evaluate(deriv, x, m)
         if dfx != 0 and fx != 0:
             vd = int_valuation(dfx, p)
             vf = int_valuation(fx, p)
             if vf > 2 * vd:
                 # polish to the limit prec - vd allowed by the derivative
                 for _ in range(prec):
-                    fx = _int_poly_eval(ints, x, m)
+                    fx = evaluate(ints, x, m)
                     if fx == 0:
                         break
-                    dfx = _int_poly_eval(deriv, x, m)
+                    dfx = evaluate(deriv, x, m)
                     vd = int_valuation(dfx, p)
                     x = (x - (fx // p**vd) * pow(dfx // p**vd, -1, m)) % m
-                    if int_valuation(_int_poly_eval(ints, x, m) or m, p) >= prec - vd:
+                    if int_valuation(evaluate(ints, x, m) or m, p) >= prec - vd:
                         break
                 k = max(k, prec - vd)
         roots.append(PadicScalar.from_int(x, p, k).cap(k))

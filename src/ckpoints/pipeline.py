@@ -148,10 +148,10 @@ def process_curve(args) -> CurveRecord:
         monic_points = out.rational_points
         back_points = [pmap.backward(q) for q in monic_points]
         for q in back_points:
-            if not q.at_infinity:
-                assert Fraction(q.y) ** 2 == sum(
-                    Fraction(coeffs[j]) * Fraction(q.x) ** j for j in range(len(coeffs))
-                )
+            if not q.at_infinity and Fraction(q.y) ** 2 != sum(
+                Fraction(coeffs[j]) * Fraction(q.x) ** j for j in range(len(coeffs))
+            ):
+                raise CkError(f"back-mapped point {_fmt_point(q)} is not on the input model")
         rec.rational_points = [_fmt_point(q) for q in monic_points]
         rec.rational_points_input_model = [_fmt_point(q) for q in back_points]
         rec.heights = [round(global_height(q), 13) for q in back_points]
@@ -183,18 +183,8 @@ def process_curve(args) -> CurveRecord:
     return rec
 
 
-def run_batch(curves, config: RunConfig) -> BatchReport:
-    """Process each curve and aggregate; deterministic given the config."""
-    tasks = [(i, coeffs, config) for i, (lineno, coeffs) in enumerate(curves)]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(process_curve, tasks))
-    else:
-        records = [process_curve(t) for t in tasks]
-    records.sort(key=lambda r: r.index)
-    if not config.with_timings:
-        for r in records:
-            r.timings = {}
+def _aggregate(records: list[CurveRecord]) -> BatchReport:
+    """Histogram, failures and maximum height over the records, in order."""
     histogram: dict[int, int] = {}
     failures = []
     max_height = 0.0
@@ -212,6 +202,21 @@ def run_batch(curves, config: RunConfig) -> BatchReport:
             elif h == max_height and h > 0:
                 max_points.append(pt)
     return BatchReport(records, histogram, max_height, max_points, failures)
+
+
+def run_batch(curves, config: RunConfig) -> BatchReport:
+    """Process each curve and aggregate; deterministic given the config."""
+    tasks = [(i, coeffs, config) for i, (lineno, coeffs) in enumerate(curves)]
+    if config.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            records = list(pool.map(process_curve, tasks))
+    else:
+        records = [process_curve(t) for t in tasks]
+    records.sort(key=lambda r: r.index)
+    if not config.with_timings:
+        for r in records:
+            r.timings = {}
+    return _aggregate(records)
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +308,7 @@ def parse_report_csv(data: bytes) -> BatchReport:
             else:
                 setattr(rec, k, raw)
         records.append(rec)
-    histogram: dict[int, int] = {}
-    failures = []
-    max_height = 0.0
-    max_points: list[str] = []
-    for r in records:
-        if r.status != "ok":
-            failures.append({"index": r.index, "message": r.status})
-            continue
-        n = len(r.rational_points)
-        histogram[n] = histogram.get(n, 0) + 1
-        for pt, h in zip(r.rational_points_input_model, r.heights):
-            if h > max_height:
-                max_height = h
-                max_points = [pt]
-            elif h == max_height and h > 0:
-                max_points.append(pt)
-    return BatchReport(records, histogram, max_height, max_points, failures)
+    return _aggregate(records)
 
 
 def _emit_text(report: BatchReport) -> bytes:

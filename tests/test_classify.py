@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import ckpoints.classify
 from ckpoints.classify import (
     MumfordDivisor,
     algebraic_dependency,
@@ -16,6 +19,7 @@ from ckpoints.classify import (
 )
 from ckpoints.cohomology import frobenius_action, jacobian_order_fp
 from ckpoints.curve import HyperellipticCurve, Point, enumerate_fp_points, lift_point
+from ckpoints.errors import NotSimpleRoot, NotTorsionConsistent
 from ckpoints.padic import PadicRing, hensel_sqrt
 
 Z7 = PadicRing(7, 18)
@@ -169,6 +173,16 @@ def test_cantor_associativity_randomized(ex1):
         assert lhs == rhs
 
 
+def test_cantor_inconsistent_input_raises_typed_error(ex3_monic):
+    # neither class satisfies v^2 = F mod u on the example-3 monic model, so
+    # the reduction step meets a nonzero remainder; the check must survive -O
+    curve, _ = ex3_monic
+    d1 = MumfordDivisor((0, 10, 1), (1, 1), 11)
+    d2 = MumfordDivisor((6, 6, 1), (2, 3), 11)
+    with pytest.raises(NotTorsionConsistent):
+        cantor_compose_reduce(d1, d2, curve, 11)
+
+
 def test_cantor_order_kills_class_and_no_proper_divisor(ex1):
     fa = frobenius_action(ex1, 7, 8)
     group_order = jacobian_order_fp(fa)
@@ -227,6 +241,26 @@ def test_classify_higher_torsion(ex2):
     assert c.x_min_poly == [1, 8]
     assert c.order == 18
     assert not c.order_p_ambiguous
+
+
+def test_refine_falls_back_only_on_expected_lift_failures(ex2, monkeypatch):
+    ring = PadicRing(7, 18)
+    x = ring(Fraction(-1, 8))
+    f_at = ex2.padic_poly(ring).evaluate(x)
+    seed = next(s for s in range(1, 7) if s * s % 7 == f_at.lift() % 7)
+    q = Point(x, hensel_sqrt(f_at, seed))
+
+    def raising(exc):
+        def lift(*args):
+            raise exc
+
+        return lift
+
+    monkeypatch.setattr(ckpoints.classify, "hensel_simple_root", raising(NotSimpleRoot("no")))
+    assert ckpoints.classify._refine_from_min_poly(q, [1, 8], ex2, ring) is q
+    monkeypatch.setattr(ckpoints.classify, "hensel_simple_root", raising(TypeError("bug")))
+    with pytest.raises(TypeError):
+        ckpoints.classify._refine_from_min_poly(q, [1, 8], ex2, ring)
 
 
 def test_group_order_kills_random_composed_divisors(ex1):

@@ -1,0 +1,110 @@
+"""Tests for the Z/m[x] kernel: products, monic division, gcds over F_p."""
+
+import random
+
+import pytest
+
+from ckpoints.intpoly import add, divmod_monic, evaluate, monic, mul, scale, taylor_shift, xgcd
+
+PRIMES = (7, 11, 13, 17)
+
+
+def _random_poly(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+
+def _deg(a):
+    return len(a) - 1
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, a, p):
+    return sympy.Poly(list(reversed(a)) or [0], sympy.Symbol("x"), modulus=p)
+
+
+def _sympy_coeffs(poly, p):
+    # sympy prints GF(p) elements in the symmetric range; compare ascending in [0, p)
+    return [c % p for c in reversed(poly.all_coeffs())] if not poly.is_zero else []
+
+
+def _pairs(p, count=40, seed=0):
+    rng = random.Random(1000 * p + seed)
+    for _ in range(count):
+        a = _random_poly(rng, p, rng.randrange(0, 9))
+        b = _random_poly(rng, p, rng.randrange(0, 9))
+        if rng.random() < 0.3:
+            # plant a common factor so that nontrivial gcds occur
+            c = _random_poly(rng, p, rng.randrange(1, 4))
+            a, b = mul(a, c, p), mul(b, c, p)
+        yield a, b
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_and_divmod_against_sympy(sympy, p):
+    for a, b in _pairs(p):
+        sa = _to_sympy(sympy, a, p)
+        assert mul(a, b, p) == _sympy_coeffs(sa * _to_sympy(sympy, b, p), p)
+        f = monic(b, p)
+        q, r = divmod_monic(a, f, p)
+        sq, sr = sa.div(_to_sympy(sympy, f, p))
+        assert q == _sympy_coeffs(sq, p)
+        assert r == _sympy_coeffs(sr, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_xgcd_against_sympy(sympy, p):
+    for a, b in _pairs(p, seed=1):
+        g, s, t = xgcd(a, b, p)
+        ss, st, sg = _to_sympy(sympy, a, p).gcdex(_to_sympy(sympy, b, p))
+        assert g == _sympy_coeffs(sg, p)
+        if _deg(g) < min(_deg(a), _deg(b)):
+            # the cofactors are unique under the minimal-degree bounds
+            assert s == _sympy_coeffs(ss, p)
+            assert t == _sympy_coeffs(st, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_xgcd_bezout_and_minimal_degrees(p):
+    for a, b in _pairs(p, count=200, seed=2):
+        g, s, t = xgcd(a, b, p)
+        assert g and g[-1] == 1
+        assert add(mul(s, a, p), mul(t, b, p), p) == g
+        assert divmod_monic(a, g, p)[1] == [] and divmod_monic(b, g, p)[1] == []
+        if _deg(g) < min(_deg(a), _deg(b)):
+            assert _deg(s) < _deg(b) - _deg(g)
+            assert _deg(t) < _deg(a) - _deg(g)
+
+
+def test_xgcd_degenerate_inputs():
+    assert xgcd([], [], 7) == ([], [1], [])
+    assert xgcd([14, 7], [0, 7], 7)[0] == []
+    assert xgcd([3], [], 7) == ([1], [5], [])
+    assert xgcd([2, 1], [2, 1], 7)[0] == [2, 1]
+
+
+def test_divmod_monic_reconstructs_over_z_mod_prime_power():
+    rng = random.Random(3)
+    m = 7**9
+    for _ in range(50):
+        a = [rng.randrange(m) for _ in range(rng.randrange(0, 15))]
+        f = [rng.randrange(m) for _ in range(rng.randrange(0, 8))] + [1]
+        q, r = divmod_monic(a, f, m)
+        assert len(r) < len(f)
+        assert add(mul(q, f, m), r, m) == add(a, [], m)
+
+
+def test_scale_monic_evaluate_and_taylor_shift():
+    assert scale([1, 2, 3], 5, 5) == []
+    assert monic([2, 4, 7], 7) == [4, 1]
+    assert monic([7, 14], 7) == []
+    rng = random.Random(4)
+    for _ in range(50):
+        a = [rng.randrange(-50, 50) for _ in range(rng.randrange(1, 9))]
+        r, x = rng.randrange(-20, 20), rng.randrange(-20, 20)
+        exact = sum(c * (x + r) ** i for i, c in enumerate(a))
+        assert evaluate(a, x + r, 10**9) == exact % 10**9
+        assert sum(c * x**i for i, c in enumerate(taylor_shift(a, r))) == exact

@@ -8,18 +8,22 @@ from pathlib import Path
 
 import pytest
 
+import ckpoints.pipeline
+from ckpoints.curve import PointMap
 from ckpoints.errors import ParseError
 from ckpoints.pipeline import (
     RunConfig,
     emit_report,
     ingest,
     parse_report_csv,
+    process_curve,
     run_batch,
 )
 
 from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "examples_h1000.json"
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,12 @@ def test_emit_json_deterministic(example_batch):
     assert a == b
 
 
+def test_emit_json_matches_golden(example_batch):
+    # the report of the three fixtures at H = 1000, the ck run defaults, is
+    # pinned byte for byte so refactors cannot drift a published digit
+    assert emit_report(example_batch, "json") == GOLDEN.read_bytes()
+
+
 def test_parallel_batch_identical(example_batch):
     curves = ingest(str(FIXTURE))
     parallel = run_batch(curves, RunConfig(height_bound=1000, jobs=2))
@@ -170,7 +180,7 @@ def test_json_csv_json_roundtrip(example_batch):
 
 def test_rational_points_revalidate_on_input_model(example_batch):
     # every reported rational point satisfies the original (pre-rescale)
-    # equation; process_curve asserts this internally, re-check here
+    # equation; process_curve checks this internally, re-check here
     for rec, coeffs in zip(example_batch.records, (EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS)):
         for text in rec.rational_points_input_model:
             if text == "inf":
@@ -178,6 +188,20 @@ def test_rational_points_revalidate_on_input_model(example_batch):
             xs, ys = text.strip("()").split(",")
             x, y = Fraction(xs.strip()), Fraction(ys.strip())
             assert y * y == sum(Fraction(coeffs[j]) * x**j for j in range(8))
+
+
+def test_off_model_back_mapped_point_fails_the_record(monkeypatch):
+    real = ckpoints.pipeline.scale_to_monic
+
+    def wrong_map(coeffs):
+        curve, pmap = real(coeffs)
+        return curve, PointMap(lead=pmap.lead * 2, genus=pmap.genus)
+
+    monkeypatch.setattr(ckpoints.pipeline, "scale_to_monic", wrong_map)
+    coeffs = [Fraction(c) for c in EX3_RAW_COEFFS]
+    rec = process_curve((0, coeffs, RunConfig(height_bound=10)))
+    assert rec.status.startswith("error: back-mapped point (")
+    assert rec.status.endswith(") is not on the input model")
 
 
 # -- CLI ------------------------------------------------------------------------
