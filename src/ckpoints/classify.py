@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cohomology import FrobeniusAction, jacobian_order_fp
 from .curve import HyperellipticCurve, Point, reduce_point
 from .errors import CkError, NotTorsionConsistent
-from .intpoly import add, divmod_monic, evaluate, monic, mul, scale, xgcd
+from .intpoly import add, divmod_monic, evaluate, monic, mul, scale, trim, xgcd
 from .padic import PadicRing, PadicScalar, hensel_simple_root, hensel_sqrt
 
 
@@ -240,12 +240,24 @@ class MumfordDivisor:
         return MumfordDivisor(self.u, tuple((-c) % self.p for c in self.v), self.p)
 
 
+def _check_mumford(d: MumfordDivisor, fbar: list[int], p: int) -> None:
+    """Raise unless u is monic, deg v < deg u and u divides F - v^2 over F_p."""
+    u = trim([c % p for c in d.u])
+    v = trim([c % p for c in d.v])
+    if not u or u[-1] != 1 or len(v) >= len(u):
+        raise NotTorsionConsistent(f"(u, v) = ({d.u}, {d.v}) is not in Mumford form")
+    if divmod_monic(add(fbar, scale(mul(v, v, p), -1, p), p), u, p)[1]:
+        raise NotTorsionConsistent(f"u = {d.u} does not divide F - v^2 for v = {d.v}")
+
+
 def cantor_compose_reduce(
     d1: MumfordDivisor, d2: MumfordDivisor, curve: HyperellipticCurve, p: int
 ) -> MumfordDivisor:
     """Cantor's algorithm: the reduced representative of d1 + d2."""
     g = curve.genus
     fbar = curve.fp_coeffs(p)
+    for d_in in (d1, d2):
+        _check_mumford(d_in, fbar, p)
     u1, v1 = list(d1.u), list(d1.v)
     u2, v2 = list(d2.u), list(d2.v)
     e, e1, e2 = xgcd(u1, u2, p)

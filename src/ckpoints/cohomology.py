@@ -15,6 +15,14 @@ the remaining state by p^v (exactly) and the divided term by the inverse of
 u, so all stored integers stay exact representatives modulo p^Nw and the
 final published precision Nw - e is a guaranteed lower bound.
 
+The series is stored in a level representation {s: b_s(x)} standing for
+sum_s b_s F^(-s) with deg b_s < deg F.  Multiplying by W = E F^(-p), with E
+in its F-adic digits, sends level s and digit k to level s + p - k: a
+convolution in the level index, done as one Kronecker-substituted big-int
+product (intpoly.mul_rows) per step, then one division by F per output
+level whose quotient carries one level down.  Division by F is linear, so
+the result is the same residue mod p^Nw as a pair-by-pair product.
+
 Byproducts: the characteristic polynomial of Frobenius (numerator of the
 zeta function), point counts, and the order of the Jacobian over F_p.
 """
@@ -27,7 +35,7 @@ from fractions import Fraction
 
 from .curve import HyperellipticCurve, Point
 from .errors import BadReduction, PoleAtPoint, PrecisionExhausted, RoundingAmbiguous
-from .intpoly import add, divmod_monic, mul, scale, trim, xgcd
+from .intpoly import add, divmod_monic, mul, mul_rows, scale, trim, xgcd
 from .padic import PadicPoly, PadicRing, PadicScalar, ilog, int_valuation
 
 
@@ -251,10 +259,33 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
         e_poly.append(c // p % m)
     e_poly = trim(e_poly)
 
-    e_digits = _fadic_digits(e_poly, f, m)
+    acc = _binomial_series(_fadic_digits(e_poly, f, m), f, p, nw, k_max)
 
-    # accumulate sum_k C_k p^(k+1) W^k with W = E * F^(-p), in the level
-    # representation {pole level s: numerator polynomial of degree <= 2g}
+    matrix = [[None] * (2 * g) for _ in range(2 * g)]
+    corrections = []
+    ring = PadicRing(p, n_target)
+    half_shift = (p - 1) // 2
+    for i in range(2 * g):
+        mono = [0] * (p * i + p - 1) + [1]
+        digits = _fadic_digits(mono, f, m)
+        state = _ReductionState(f, df, sf, p, nw, g)
+        for lvl, poly in _level_product(acc, digits, f, m, half_shift).items():
+            state.add(lvl, poly)
+        state.sweep()
+        col, corr = state.published(ring, n_target)
+        for j in range(2 * g):
+            matrix[j][i] = col[j]
+        corrections.append(corr)
+    return FrobeniusAction(curve, p, n_target, matrix, corrections)
+
+
+def _binomial_series(e_digits, f, p, nw, k_max) -> dict[int, list[int]]:
+    """sum_{k <= k_max} C_k p^(k+1) W^k modulo p^nw, W = E * F^(-p).
+
+    C_k = (-1)^k binom(2k, k) / 4^k; the result is a level representation
+    {pole level s: numerator polynomial of degree <= 2g}.
+    """
+    m = p**nw
     acc: dict[int, list[int]] = {}
     t_rep: dict[int, list[int]] = {0: [1]}
     for k in range(k_max + 1):
@@ -267,33 +298,13 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
                 acc[lvl] = add(cur, scaled, m) if cur else scaled
         if k == k_max:
             break
-        t_rep = _mul_by_w(t_rep, e_digits, f, p, m)
-
-    matrix = [[None] * (2 * g) for _ in range(2 * g)]
-    corrections = []
-    ring = PadicRing(p, n_target)
-    half_shift = (p - 1) // 2
-    for i in range(2 * g):
-        mono = [0] * (p * i + p - 1) + [1]
-        digits = _fadic_digits(mono, f, m)
-        state = _ReductionState(f, df, sf, p, nw, g)
-        for lvl, poly in acc.items():
-            for mm, dig in enumerate(digits):
-                if not dig:
-                    continue
-                prod = mul(poly, dig, m)
-                hi, lo = divmod_monic(prod, f, m)
-                target = lvl + half_shift - mm
-                if lo:
-                    state.add(target, lo)
-                if hi:
-                    state.add(target - 1, hi)
-        state.sweep()
-        col, corr = state.published(ring, n_target)
-        for j in range(2 * g):
-            matrix[j][i] = col[j]
-        corrections.append(corr)
-    return FrobeniusAction(curve, p, n_target, matrix, corrections)
+        # W^(k+1) enters the sum only times p^(k+2), so carrying it modulo
+        # p^(nw-k-2) drops digits that are multiplied away: acc is the same
+        # residue modulo p^nw
+        mk = p ** (nw - k - 2)
+        t_rep = {lvl: [c % mk for c in poly] for lvl, poly in t_rep.items()}
+        t_rep = _level_product(t_rep, [[c % mk for c in d] for d in e_digits], [c % mk for c in f], mk, p)
+    return acc
 
 
 def _fadic_digits(poly: list[int], f: list[int], m: int) -> list[list[int]]:
@@ -306,23 +317,29 @@ def _fadic_digits(poly: list[int], f: list[int], m: int) -> list[list[int]]:
     return digits or [[]]
 
 
-def _mul_by_w(rep: dict[int, list[int]], e_digits, f, p, m) -> dict[int, list[int]]:
-    """Multiply a level representation by W = E * F^(-p)."""
+def _level_product(rep: dict[int, list[int]], digits, f, m, shift) -> dict[int, list[int]]:
+    """Multiply a level representation by (sum_k digits[k] F^k) * F^(-shift).
+
+    Level l times digit k lands on level l + shift - k; each output level is
+    split once by F, the quotient carrying one level down.  Levels and digits
+    must be reduced into [0, m) with degree < deg F.
+    """
+    if not rep:
+        return {}
+    low = min(rep)
+    rows = [rep.get(lvl, []) for lvl in range(low, max(rep) + 1)]
+    sums = mul_rows(rows, digits[::-1], m)
+    base = low + shift - (len(digits) - 1)
     out: dict[int, list[int]] = {}
-    for lvl, poly in rep.items():
-        for mm, dig in enumerate(e_digits):
-            if not dig:
-                continue
-            prod = mul(poly, dig, m)
-            hi, lo = divmod_monic(prod, f, m)
-            if lo:
-                tgt = lvl + p - mm
-                cur = out.get(tgt)
-                out[tgt] = add(cur, lo, m) if cur else lo
-            if hi:
-                tgt = lvl + p - mm - 1
-                cur = out.get(tgt)
-                out[tgt] = add(cur, hi, m) if cur else hi
+    carry: list[int] = []
+    for n in range(len(sums) - 1, -1, -1):
+        hi, lo = divmod_monic(sums[n], f, m)
+        poly = add(lo, carry, m)
+        if poly:
+            out[base + n] = poly
+        carry = hi
+    if carry:
+        out[base - 1] = carry
     return out
 
 

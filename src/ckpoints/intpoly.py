@@ -30,6 +30,36 @@ def mul(a: list[int], b: list[int], m: int) -> list[int]:
     return trim(out)
 
 
+def mul_rows(a_rows: list[list[int]], b_rows: list[list[int]], m: int) -> list[list[int]]:
+    """Product of two polynomials in (Z/m[x])[z] given as lists of z-rows.
+
+    Row n of the result is sum_{i+j=n} a_rows[i] * b_rows[j], trimmed and
+    reduced mod m.  Every coefficient must already lie in [0, m).  Both row
+    lists are packed into one Python int each (Kronecker substitution: every
+    row gets 2w - 1 byte-aligned slots, w the longest row, each wide enough
+    for the exact sum of at most min(#rows) * w products below m^2), so the
+    whole product is a single big-int multiplication.
+    """
+    if not a_rows or not b_rows:
+        return []
+    width = max(max(map(len, a_rows)), max(map(len, b_rows)), 1)
+    stride = 2 * width - 1
+    bits = 2 * (m - 1).bit_length() + (min(len(a_rows), len(b_rows)) * width).bit_length() + 1
+    size = (bits + 7) // 8
+
+    def pack(rows):
+        chunks = []
+        for row in rows:
+            chunks.extend(c.to_bytes(size, "little") for c in row)
+            chunks.append(bytes(size * (stride - len(row))))
+        return int.from_bytes(b"".join(chunks), "little")
+
+    n_out = len(a_rows) + len(b_rows) - 1
+    buf = (pack(a_rows) * pack(b_rows)).to_bytes(n_out * stride * size, "little")
+    slots = [int.from_bytes(buf[k : k + size], "little") % m for k in range(0, len(buf), size)]
+    return [trim(slots[n * stride : (n + 1) * stride]) for n in range(n_out)]
+
+
 def add(a: list[int], b: list[int], m: int) -> list[int]:
     n = max(len(a), len(b))
     out = [0] * n

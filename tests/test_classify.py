@@ -183,6 +183,28 @@ def test_cantor_inconsistent_input_raises_typed_error(ex3_monic):
         cantor_compose_reduce(d1, d2, curve, 11)
 
 
+def test_cantor_rejects_invalid_class_against_identity(ex3_monic):
+    # composing an invalid class with the identity used to return it
+    # unchanged; the entry check refuses it before any arithmetic
+    curve, _ = ex3_monic
+    bad = MumfordDivisor((0, 10, 1), (1, 1), 11)
+    for d1, d2 in ((bad, MumfordDivisor.identity(11)), (MumfordDivisor.identity(11), bad)):
+        with pytest.raises(NotTorsionConsistent):
+            cantor_compose_reduce(d1, d2, curve, 11)
+
+
+def test_cantor_rejects_non_mumford_shapes(ex1):
+    pt = next(q for q in enumerate_fp_points(ex1, 7) if not q.at_infinity and q.y % 7)
+    good = MumfordDivisor.from_point(pt, 7)
+    assert not cantor_compose_reduce(good, MumfordDivisor.identity(7), ex1, 7).is_identity
+    non_monic = MumfordDivisor(tuple(2 * c % 7 for c in good.u), good.v, 7)
+    v_too_long = MumfordDivisor(good.u, good.v + (1,), 7)
+    zero_u = MumfordDivisor((7,), (), 7)
+    for bad in (non_monic, v_too_long, zero_u):
+        with pytest.raises(NotTorsionConsistent):
+            cantor_compose_reduce(good, bad, ex1, 7)
+
+
 def test_cantor_order_kills_class_and_no_proper_divisor(ex1):
     fa = frobenius_action(ex1, 7, 8)
     group_order = jacobian_order_fp(fa)

@@ -1,11 +1,17 @@
 """Tests for the Frobenius action, its corrections, and zeta byproducts."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ckpoints.cohomology import (
+    _binomial_series,
+    _fadic_digits,
+    _level_product,
     curve_count_fp,
     evaluate_correction,
     frobenius_action,
@@ -21,6 +27,7 @@ from ckpoints.curve import (
     local_chart,
 )
 from ckpoints.errors import BadReduction, PoleAtPoint
+from ckpoints.intpoly import add, divmod_monic, mul
 from ckpoints.padic import PadicPowerSeries, PadicRing
 
 CURVE_X7P1 = HyperellipticCurve([1, 0, 0, 0, 0, 0, 0, 1])
@@ -281,6 +288,110 @@ def test_frobenius_tail_cutoff_is_stable(ex1):
     for j in range(6):
         for i in range(6):
             assert fa_lo.matrix[j][i].congruent(fa_hi.matrix[j][i], required=8) is True
+
+
+# -- the level convolution ----------------------------------------------------
+
+GOLDEN_FROBENIUS = Path(__file__).parent / "golden" / "frobenius_ex3.json"
+
+
+def _level_product_oracle(rep, digits, f, m, shift):
+    """Per-level x per-digit schoolbook loop: one product and split per pair."""
+    out = {}
+    for lvl, poly in rep.items():
+        for k, dig in enumerate(digits):
+            hi, lo = divmod_monic(mul(poly, dig, m), f, m)
+            for target, piece in ((lvl + shift - k, lo), (lvl + shift - k - 1, hi)):
+                out[target] = add(out.get(target, []), piece, m)
+    return {lvl: poly for lvl, poly in out.items() if poly}
+
+
+def _random_rep(rng, m, low, count, full=False):
+    # full levels carry m - 1 in every coefficient below deg F = 7
+    rep = {}
+    for lvl in range(low, low + count):
+        if count > 1 and rng.random() < 0.2:
+            continue  # gaps between levels
+        rep[lvl] = [m - 1] * 7 if full else [rng.randrange(m) for _ in range(rng.randrange(1, 8))]
+    return rep
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_level_product_matches_per_digit_loop(p):
+    rng = random.Random(70 + p)
+    m = p ** (2 * p + 4)
+    f = [rng.randrange(m) for _ in range(7)] + [1]
+    for trial in range(12):
+        full = trial % 4 == 3
+        digits = [[m - 1] * 7 if full else [rng.randrange(m) for _ in range(rng.randrange(0, 8))]
+                  for _ in range(rng.randrange(1, p + 2))]
+        rep = _random_rep(rng, m, rng.randrange(-3, 3), rng.randrange(1, 5 * p), full)
+        for shift in (p, (p - 1) // 2):
+            assert _level_product(rep, digits, f, m, shift) == _level_product_oracle(rep, digits, f, m, shift)
+    # the digits the final accumulation uses: F-adic digits of x^(p*i + p - 1)
+    rep = _random_rep(rng, m, -2, 3 * p)
+    for i in range(6):
+        digits = _fadic_digits([0] * (p * i + p - 1) + [1], f, m)
+        half = (p - 1) // 2
+        assert _level_product(rep, digits, f, m, half) == _level_product_oracle(rep, digits, f, m, half)
+
+
+def test_level_product_edge_cases():
+    p = 7
+    m = p**18
+    f = [3, 0, 5, 1, 0, 2, 6, 1]
+    single = {4: [1, 2, 3]}
+    digits = [[5, 6], [], [m - 1, 0, 1]]
+    for rep, digs in (({}, digits), (single, []), (single, [[]]), (single, digits),
+                      ({0: [m - 1] * 7}, digits), ({-2: [1], 0: [4, 4]}, digits)):
+        assert _level_product(rep, digs, f, m, p) == _level_product_oracle(rep, digs, f, m, p)
+    assert _level_product({}, digits, f, m, p) == {}
+    assert _level_product(single, [], f, m, p) == {}
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_binomial_series_matches_full_modulus_loop(p):
+    # the series carries W^k modulo p^(nw-k-1) only; the sum must still be
+    # the residue modulo p^nw that the full-modulus per-digit loop gives
+    rng = random.Random(90 + p)
+    k_max, nw = 7, 13
+    m = p**nw
+    f = [rng.randrange(m) for _ in range(7)] + [1]
+    e_digits = [[rng.randrange(m) for _ in range(7)] for _ in range(p + 1)]
+    acc, t_rep = {}, {0: [1]}
+    for k in range(k_max + 1):
+        scalar = (-1) ** k * math.comb(2 * k, k) * pow(4, -k, m) * p ** (k + 1) % m
+        for lvl, poly in t_rep.items():
+            acc[lvl] = add(acc.get(lvl, []), [c * scalar % m for c in poly], m)
+        t_rep = _level_product_oracle(t_rep, e_digits, f, m, p)
+    got = _binomial_series(e_digits, f, p, nw, k_max)
+    assert {lvl: poly for lvl, poly in got.items() if poly} == {lvl: poly for lvl, poly in acc.items() if poly}
+
+
+def _action_triples(fa):
+    def triple(c):
+        return [c.val, c.unit, c.prec]
+
+    return {
+        "p": fa.p,
+        "precision": fa.precision,
+        "matrix": [[triple(c) for c in row] for row in fa.matrix],
+        "corrections": [
+            [[w, [triple(c) for c in poly.coeffs]] for w, poly in sorted(corr.items())]
+            for corr in fa.corrections
+        ],
+    }
+
+
+def test_frobenius_action_matches_golden(ex3_monic):
+    """Every matrix entry and correction coefficient, as (val, unit, prec)."""
+    curve, _ = ex3_monic
+    golden = json.loads(GOLDEN_FROBENIUS.read_text())
+    assert golden["curve"] == [str(c) for c in curve.coeffs]
+    for expected in golden["actions"]:
+        p = expected["p"]
+        assert expected["precision"] == 2 * p + 4
+        assert _action_triples(frobenius_action(curve, p, 2 * p + 4)) == expected
 
 
 # -- corrections ---------------------------------------------------------------

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from ckpoints.intpoly import add, divmod_monic, evaluate, monic, mul, scale, taylor_shift, xgcd
+from ckpoints.intpoly import (
+    add,
+    divmod_monic,
+    evaluate,
+    monic,
+    mul,
+    mul_rows,
+    scale,
+    taylor_shift,
+    xgcd,
+)
 
 PRIMES = (7, 11, 13, 17)
 
@@ -108,3 +118,60 @@ def test_scale_monic_evaluate_and_taylor_shift():
         exact = sum(c * (x + r) ** i for i, c in enumerate(a))
         assert evaluate(a, x + r, 10**9) == exact % 10**9
         assert sum(c * x**i for i, c in enumerate(taylor_shift(a, r))) == exact
+
+
+# -- row products (Kronecker substitution) ------------------------------------
+
+
+def _rows_oracle(a_rows, b_rows, m):
+    """Row-by-row schoolbook convolution: row n = sum_{i+j=n} a_i * b_j."""
+    if not a_rows or not b_rows:
+        return []
+    out = [[] for _ in range(len(a_rows) + len(b_rows) - 1)]
+    for i, a in enumerate(a_rows):
+        for j, b in enumerate(b_rows):
+            out[i + j] = add(out[i + j], mul(a, b, m), m)
+    return out
+
+
+def _random_rows(rng, m, count, width, full=False):
+    # full rows have every coefficient m - 1, the worst case for a slot
+    rows = []
+    for _ in range(count):
+        length = width if full else rng.randrange(0, width + 1)
+        rows.append([m - 1] * length if full else [rng.randrange(m) for _ in range(length)])
+    return rows
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_rows_against_rowwise_schoolbook(p):
+    rng = random.Random(50 + p)
+    m = p ** (2 * p + 4)
+    for _ in range(30):
+        width = rng.randrange(1, 9)
+        a = _random_rows(rng, m, rng.randrange(1, 40), width)
+        b = _random_rows(rng, m, rng.randrange(1, 15), width)
+        assert mul_rows(a, b, m) == _rows_oracle(a, b, m)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_rows_top_coefficients_fill_the_slots(p):
+    # every slot then holds min(#rows) * width products of (m - 1)^2, the
+    # exact bound the slot width is sized for
+    m = p ** (2 * p + 4)
+    rng = random.Random(p)
+    for na, nb, width in ((1, 1, 1), (1, 9, 7), (25, 13, 7), (13, 25, 7), (40, 40, 8)):
+        a = _random_rows(rng, m, na, width, full=True)
+        b = _random_rows(rng, m, nb, width, full=True)
+        assert mul_rows(a, b, m) == _rows_oracle(a, b, m)
+    # (m - 1)^2 = 1 mod m
+    assert mul_rows([[m - 1]], [[m - 1]], m) == [[1]]
+
+
+def test_mul_rows_empty_and_zero_rows():
+    m = 7**10
+    assert mul_rows([], [[1, 2]], m) == []
+    assert mul_rows([[1, 2]], [], m) == []
+    assert mul_rows([[]], [[]], m) == [[]]
+    assert mul_rows([[], [3]], [[], [], [5, 1]], m) == [[], [], [], [15, 3]]
+    assert mul_rows([[2, 3]], [[4, 5]], m) == [mul([2, 3], [4, 5], m)]
