@@ -4,11 +4,13 @@ For a rank-0 Jacobian the holomorphic Coleman integrals from infinity vanish
 on every rational point, so the rational points are among the common zeros
 of three power series per residue disc.  Discs are processed up to the
 hyperelliptic involution: each disc gets a local expansion of the three
-functionals (a formal antiderivative plus a constant offset), a simple-root
+functionals about its Hensel-lifted center (a formal antiderivative plus the
+Coleman integral from infinity to the center as offset), a simple-root
 certificate through a truncated discriminant, Z_p root extraction after the
 rescaling t = p*s, and a vanishing check of the other two series at every
 root.  If no series in some disc has certified simple roots, the whole run
-restarts at the next prime of good reduction.
+restarts at the next prime of good reduction.  Known rational points do
+not enter the search; they only cross-check its output.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from .classify import ClassifiedPoint, classify_point
 from .cohomology import FrobeniusAction, curve_count_fp, frobenius_action
 from .coleman import integral_functional
 from .curve import (
-    INFINITY,
     HyperellipticCurve,
     LocalChart,
     Point,
     fp_disc_representatives,
     good_reduction_prime,
     involution,
+    is_prime,
     lift_point,
     local_chart,
 )
@@ -59,7 +61,9 @@ class DiscSeries:
     chart: LocalChart
     series: list[PadicPowerSeries]
     offsets: list[PadicScalar]
-    seeded: bool
+    # every disc is set up from its lifted center; perfbench/spans.py is the
+    # only reader of this attribute
+    seeded = False
 
     def series_value(self, t: PadicScalar, i: int) -> PadicScalar:
         p = self.chart.ring.p
@@ -96,55 +100,25 @@ class ChabautyOutput:
         return [c.rational for c in self.rational]
 
 
-def _reduce_rational(point: Point, p: int) -> Point:
-    if point.at_infinity:
-        return INFINITY
-    x = Fraction(point.x)
-    y = Fraction(point.y)
-    if x.denominator % p == 0:
-        return INFINITY
-    xb = x.numerator * pow(x.denominator, -1, p) % p
-    yb = y.numerator * pow(y.denominator, -1, p) % p
-    return Point(xb, yb)
-
-
 def disc_series(
     curve: HyperellipticCurve,
     fa: FrobeniusAction,
     disc: Point,
-    known_points: list[Point],
     order: int | None = None,
 ) -> DiscSeries:
     """Expand the three functionals on the residue disc of an F_p point.
 
-    If a known rational point reduces into the disc, the expansion is
-    anchored there and the offsets are exactly zero (rank 0); otherwise the
-    disc center is Hensel-lifted and the offsets come from a Coleman
-    integral from infinity.
+    The disc center is Hensel-lifted and the offsets come from a Coleman
+    integral from infinity to it, so every disc is set up the same way
+    whatever rational points are known.
     """
     p = fa.p
     ring = PadicRing(p, fa.precision)
     if order is None:
         order = 2 * p + 1
     g = curve.genus
-    seeded_base = None
-    for kp in known_points:
-        if _reduce_rational(kp, p) == disc:
-            seeded_base = kp
-            break
-    if seeded_base is not None:
-        base = (
-            INFINITY
-            if seeded_base.at_infinity
-            else Point(ring(seeded_base.x), ring(seeded_base.y))
-        )
-        offsets = [ring.zero() for _ in range(g)]
-        seeded = True
-    else:
-        base = lift_point(disc, curve, ring)
-        vec = integral_functional(curve, fa, base, order)
-        offsets = list(vec.values)
-        seeded = False
+    base = lift_point(disc, curve, ring)
+    offsets = integral_functional(curve, fa, base, order).values
     chart = local_chart(base, curve, ring, order)
     t_base = chart.param_of(base)
     pulls = chart.omega_pullbacks()[:g]
@@ -161,7 +135,7 @@ def disc_series(
         f_i = anti + PadicPowerSeries.constant(const, anti.order)
         series.append(f_i)
         anchored_offsets.append(const)
-    return DiscSeries(disc, base, chart, series, anchored_offsets, seeded)
+    return DiscSeries(disc, base, chart, series, anchored_offsets)
 
 
 def common_zeros(
@@ -172,7 +146,8 @@ def common_zeros(
 
     One series must have a squarefree truncation (nonvanishing truncated
     discriminant); its Z_p roots (after t = p*s) are checked against the
-    other two at the precision floor.
+    other two at the precision floor.  Each point's coordinates carry only
+    the digits that the truncated series determines.
     """
     ring = ds.chart.ring
     p = ring.p
@@ -190,6 +165,7 @@ def common_zeros(
     # rescale t = p*s so the roots of interest are the Z_p roots
     rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
     roots = padic_poly_roots(PadicPoly(rescaled, p))
+    slope_series = ds.series[chosen].derivative()
     points = []
     for s_root in roots:
         t_root = s_root.shift(1)
@@ -207,7 +183,12 @@ def common_zeros(
                 ok = False
                 break
         if ok:
-            points.append(ds.chart.point_at(t_root))
+            # a root of the truncation is the series' root only to the
+            # precision of the series there, less the valuation of its
+            # slope (Hensel)
+            slope = slope_series.evaluate(t_root)
+            known = ds.series_value(t_root, chosen).prec - slope.val
+            points.append(ds.chart.point_at(t_root.cap(known)))
     return points, chosen
 
 
@@ -223,15 +204,17 @@ def run_chabauty(
     """Provably compute the common-zero set and classify it.
 
     Requires a validated monic odd-degree genus-3 model whose Jacobian has
-    Mordell-Weil rank 0 (the rank is a trusted input).  Known rational
-    points are an optimization only: the output is identical with an empty
-    seed list.  When every series in some disc has multiple roots the run
-    escalates to the next prime of good reduction, up to prime_cap.
+    Mordell-Weil rank 0 (the rank is a trusted input).  The search itself
+    never uses known rational points: they only cross-check the output,
+    and one missing from it raises NonTorsionExtra.  When every series in
+    some disc has multiple roots the run escalates to the next prime of
+    good reduction, up to prime_cap; a starting prime of bad reduction
+    counts as one escalation.
     """
     if curve.genus != 3:
         raise ValueError("the driver is specific to genus 3")
-    if p is not None and p < 7:
-        raise ValueError("the driver requires a starting prime p >= 7")
+    if p is not None and (p < 7 or not is_prime(p)):
+        raise ValueError(f"the driver requires a starting prime p >= 7, got {p}")
     known_points = list(known_points or [])
     for kp in known_points:
         if not curve.contains(kp):
@@ -244,23 +227,24 @@ def run_chabauty(
                 f"no prime below the cap {prime_cap} avoided degenerate series"
             )
         try:
-            return _run_at_prime(
-                curve,
-                p_current,
-                known_points,
-                precision,
-                t_precision,
-                escalations,
-                fa_cache,
+            out = _run_at_prime(
+                curve, p_current, precision, t_precision, escalations, fa_cache
             )
+            break
         except AllSeriesDegenerate:
             p_current = good_reduction_prime(curve, p_current + 1)
             escalations += 1
+    got_rational = {_rational_key(c.rational) for c in out.rational}
+    for kp in known_points:
+        if _rational_key(kp) not in got_rational:
+            raise NonTorsionExtra(
+                f"known rational point {kp} missing from the zero set: "
+                "the rank-0 assumption or the input curve is wrong"
+            )
+    return out
 
 
-def _run_at_prime(
-    curve, p, known_points, precision, t_precision, escalations, fa_cache
-) -> ChabautyOutput:
+def _run_at_prime(curve, p, precision, t_precision, escalations, fa_cache) -> ChabautyOutput:
     n_default, m_default = precisions(p)
     n = precision if precision is not None else n_default
     order = t_precision if t_precision is not None else m_default
@@ -271,12 +255,11 @@ def _run_at_prime(
         if fa_cache is not None:
             fa_cache[key] = fa
     floor = n - 3
-    ring = PadicRing(p, n)
 
     found: list[Point] = []
     disc_logs: list[DiscLog] = []
     for disc, mirrored in fp_disc_representatives(curve, p):
-        ds = disc_series(curve, fa, disc, known_points, order)
+        ds = disc_series(curve, fa, disc, order)
         zeros, chosen = common_zeros(ds, floor)
         local: list[Point] = []
         for z in zeros:
@@ -297,14 +280,6 @@ def _run_at_prime(
             two_torsion.append(c)
         else:
             higher.append(c)
-
-    got_rational = {_rational_key(c.rational) for c in rational}
-    for kp in known_points:
-        if _rational_key(kp) not in got_rational:
-            raise NonTorsionExtra(
-                f"known rational point {kp} missing from the zero set: "
-                "the rank-0 assumption or the input curve is wrong"
-            )
     rational.sort(key=lambda c: _rational_sort_key(c.rational))
     return ChabautyOutput(
         rational=rational,

@@ -25,6 +25,7 @@ from .coleman import coleman_integral
 from .curve import (
     INFINITY,
     Point,
+    is_prime,
     parse_curve_line,
     scale_to_monic,
     search_rational_points,
@@ -34,6 +35,13 @@ from .padic import PadicRing
 from .pipeline import RunConfig, emit_report, ingest, run_batch
 
 log = logging.getLogger("ck")
+
+
+def _driver_prime(text: str) -> int:
+    p = int(text)
+    if p < 7 or not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime >= 7")
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", required=True, help="curve file, one [c0,...,c7] per line")
     run.add_argument("--height-bound", type=int, default=1000)
     run.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    run.add_argument("--prime", type=int, default=None)
+    run.add_argument("--prime", type=_driver_prime, default=None, help="starting prime, at least 7")
     run.add_argument("--precision", type=int, default=None)
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--timings", action="store_true", help="include timings (json loses determinism)")

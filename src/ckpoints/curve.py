@@ -182,7 +182,7 @@ def good_reduction_prime(curve: HyperellipticCurve, p_min: int = 7) -> int:
     """Smallest prime p >= p_min at which the model has good reduction."""
     p = max(p_min, 3)
     while True:
-        if _is_prime(p) and curve.has_good_reduction(p):
+        if is_prime(p) and curve.has_good_reduction(p):
             return p
         p += 1
 
@@ -587,7 +587,7 @@ def _resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

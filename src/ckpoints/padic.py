@@ -790,11 +790,12 @@ def _sylvester_resultant(f: list[PadicScalar], g: list[PadicScalar], p: int) -> 
     return _determinant(rows, p)
 
 
-def _determinant(rows: list[list[PadicScalar]], p: int) -> PadicScalar:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    prec = min(c.prec for r in rows for c in r)
-    det = PadicScalar.one(p, prec)
+def _forward_eliminate(rows: list[list[PadicScalar]], n: int) -> int | None:
+    """Reduce the first n columns of rows (in place) to upper-triangular form.
+
+    Pivots are chosen by minimum valuation.  Returns the sign of the row
+    permutation, or None if some pivot column is zero to working precision.
+    """
     sign = 1
     for col in range(n):
         pivot_row = None
@@ -807,19 +808,31 @@ def _determinant(rows: list[list[PadicScalar]], p: int) -> PadicScalar:
                 best_val = c.val
                 pivot_row = r
         if pivot_row is None:
-            return PadicScalar.zero(p, prec)
+            return None
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             sign = -sign
         pivot = rows[col][col]
-        det = det * pivot
         for r in range(col + 1, n):
             c = rows[r][col]
             if c.is_zero:
                 continue
             factor = c / pivot
-            for k in range(col, n):
+            for k in range(col, len(rows[r])):
                 rows[r][k] = rows[r][k] - factor * rows[col][k]
+    return sign
+
+
+def _determinant(rows: list[list[PadicScalar]], p: int) -> PadicScalar:
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    prec = min(c.prec for r in rows for c in r)
+    sign = _forward_eliminate(rows, n)
+    if sign is None:
+        return PadicScalar.zero(p, prec)
+    det = PadicScalar.one(p, prec)
+    for i in range(n):
+        det = det * rows[i][i]
     return det if sign == 1 else -det
 
 
@@ -827,27 +840,12 @@ def solve_linear_system(matrix: list[list[PadicScalar]], rhs: list[PadicScalar],
     """Solve A x = b by Gaussian elimination with minimum-valuation pivoting."""
     n = len(matrix)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = None
-        best_val = None
-        for r in range(col, n):
-            c = a[r][col]
-            if c.is_zero:
-                continue
-            if best_val is None or c.val < best_val:
-                best_val = c.val
-                pivot_row = r
-        if pivot_row is None:
-            raise SingularSystem("pivot column is zero to working precision")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            c = a[r][col]
-            if c.is_zero:
-                continue
-            factor = c / pivot
-            for k in range(col, n + 1):
-                a[r][k] = a[r][k] - factor * a[col][k]
-    return [a[i][n] / a[i][i] for i in range(n)]
+    if _forward_eliminate(a, n) is None:
+        raise SingularSystem("pivot column is zero to working precision")
+    x = [None] * n
+    for i in reversed(range(n)):
+        acc = a[i][n]
+        for k in range(i + 1, n):
+            acc = acc - a[i][k] * x[k]
+        x[i] = acc / a[i][i]
+    return x

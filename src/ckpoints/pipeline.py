@@ -35,10 +35,8 @@ class RunConfig:
     height_bound: int = 1000
     prime: int | None = None
     precision: int | None = None
-    t_precision: int | None = None
     jobs: int = 1
     with_timings: bool = False
-    prime_cap: int = 100
 
 
 @dataclass
@@ -131,14 +129,7 @@ def process_curve(args) -> CurveRecord:
         rec.monic_lead = str(pmap.lead)
         known = search_rational_points(curve, cfg.height_bound)
         t1 = time.monotonic()
-        out = run_chabauty(
-            curve,
-            p=cfg.prime,
-            known_points=known,
-            precision=cfg.precision,
-            t_precision=cfg.t_precision,
-            prime_cap=cfg.prime_cap,
-        )
+        out = run_chabauty(curve, p=cfg.prime, known_points=known, precision=cfg.precision)
         t2 = time.monotonic()
         rec.prime = out.prime
         rec.precision = out.precision

@@ -11,13 +11,17 @@ from ckpoints.chabauty import (
     run_chabauty,
 )
 from ckpoints.cohomology import frobenius_action
+from ckpoints.coleman import integral_functional
 from ckpoints.curve import (
     INFINITY,
+    HyperellipticCurve,
     Point,
+    good_reduction_prime,
     involution,
     search_rational_points,
 )
-from ckpoints.padic import PadicRing
+from ckpoints.intpoly import taylor_shift
+from ckpoints.padic import PadicRing, PadicScalar
 
 FA_CACHE: dict = {}
 
@@ -40,21 +44,21 @@ def test_precisions_formulas():
         precisions(5)
 
 
-def test_disc_series_infinity(ex1, fa1, known1):
-    ds = disc_series(ex1, fa1, INFINITY, known1)
+def test_disc_series_infinity(ex1, fa1):
+    ds = disc_series(ex1, fa1, INFINITY)
     assert all(c.is_zero for c in ds.offsets)
     zeros, chosen = common_zeros(ds)
     assert len(zeros) == 1 and zeros[0].at_infinity
 
 
-def test_disc_series_no_common_roots(ex1, fa1, known1):
-    ds = disc_series(ex1, fa1, Point(0, 4), known1)
+def test_disc_series_no_common_roots(ex1, fa1):
+    ds = disc_series(ex1, fa1, Point(0, 4))
     zeros, chosen = common_zeros(ds)
     assert zeros == []
 
 
-def test_disc_series_derivative_matches_pullback(ex1, fa1, known1):
-    ds = disc_series(ex1, fa1, Point(6, 2), known1)
+def test_disc_series_derivative_matches_pullback(ex1, fa1):
+    ds = disc_series(ex1, fa1, Point(6, 2))
     pulls = ds.chart.omega_pullbacks()
     for i in range(3):
         shift, pull = pulls[i]
@@ -64,18 +68,15 @@ def test_disc_series_derivative_matches_pullback(ex1, fa1, known1):
             assert a.congruent(b, required=min(a.prec, b.prec) - 1) in (True,)
 
 
-def test_disc_series_offsets_vanish_only_with_seed(ex1, fa1, known1):
-    seeded = disc_series(ex1, fa1, Point(4, 0), known1)
-    assert seeded.seeded
-    unseeded = disc_series(ex1, fa1, Point(4, 0), [])
-    assert not unseeded.seeded
-    # both anchor at the same Weierstrass center with zero offsets
-    for a, b in zip(seeded.offsets, unseeded.offsets):
-        assert a.is_zero and b.is_zero
+def test_disc_series_offsets_vanish_only_with_seed(ex1, fa1):
+    ds = disc_series(ex1, fa1, Point(4, 0))
+    # anchored at the lifted Weierstrass center, the offsets are zero
+    for a in ds.offsets:
+        assert a.is_zero
 
 
-def test_common_zeros_weierstrass_disc(ex1, fa1, known1):
-    ds = disc_series(ex1, fa1, Point(4, 0), known1)
+def test_common_zeros_weierstrass_disc(ex1, fa1):
+    ds = disc_series(ex1, fa1, Point(4, 0))
     zeros, chosen = common_zeros(ds)
     assert len(zeros) == 1
     z = zeros[0]
@@ -85,7 +86,7 @@ def test_common_zeros_weierstrass_disc(ex1, fa1, known1):
 
 def test_common_zeros_trivial_triple(ex1, fa1):
     # series (t, t, t): the only common parameter is 0
-    ds = disc_series(ex1, fa1, Point(6, 2), [])
+    ds = disc_series(ex1, fa1, Point(6, 2))
     ring = PadicRing(7, 18)
     ident = ring.series([0, 1], 15)
     ds.series = [ident, ident, ident]
@@ -181,6 +182,12 @@ def test_bad_known_point_rejected(ex1):
         run_chabauty(ex1, 7, [Point(Fraction(5), Fraction(5))])
 
 
+@pytest.mark.parametrize("p", [5, 9, 49])
+def test_starting_prime_must_be_a_prime_at_least_7(ex1, p):
+    with pytest.raises(ValueError):
+        run_chabauty(ex1, p, [])
+
+
 def _as_tuple(point):
     if point.at_infinity:
         return ("inf",)
@@ -190,7 +197,7 @@ def _as_tuple(point):
 def test_all_series_degenerate_raises(ex1, fa1):
     from ckpoints.errors import AllSeriesDegenerate
 
-    ds = disc_series(ex1, fa1, Point(6, 2), [])
+    ds = disc_series(ex1, fa1, Point(6, 2))
     ring = PadicRing(7, 18)
     square = ring.series([0, 0, 1], 15)  # t^2: a certified double root
     ds.series = [square, square, square]
@@ -207,22 +214,95 @@ def test_example2_rational_list_prime_invariant(ex2):
 
 
 def test_disc_series_seeded_at_noncentral_base():
-    # a known rational point sitting off-center in a Weierstrass disc:
-    # the expansion re-anchors so the series still vanish at the seed
-    from ckpoints.curve import HyperellipticCurve
-
+    # a rational point sitting off-center in a Weierstrass disc: the series
+    # expanded about the lifted center take the value of the Coleman integral
+    # from infinity there (the curve's rank is unknown, so it need not vanish)
     curve = HyperellipticCurve([47, 1, 0, 0, 0, 0, 0, 1])  # (1, 7) is on it
     seed_pt = Point(Fraction(1), Fraction(7))
     assert curve.contains(seed_pt)
     fa = frobenius_action(curve, 7, 18)
-    ds = disc_series(curve, fa, Point(1, 0), [seed_pt])
-    assert ds.seeded
+    ds = disc_series(curve, fa, Point(1, 0))
     assert ds.chart.kind == "weierstrass"
     ring = PadicRing(7, 18)
     t_base = ds.chart.param_of(Point(ring(1), ring(7)))
     assert t_base.lift() == 7
     # the disc center is the Weierstrass point, not the seed
     assert not (ds.chart.center.x - ring(1)).is_zero
+    vec = integral_functional(curve, fa, Point(ring(1), ring(7)))
     for i in range(3):
-        val = ds.series_value(t_base, i)
-        assert val.is_zero
+        assert (ds.series_value(t_base, i) - vec.values[i]).is_zero
+
+
+def _fa(curve, p):
+    # keyed as run_chabauty keys its cache, so the driver tests reuse it
+    n = precisions(p)[0]
+    key = (tuple(curve.coeffs), p, n)
+    if key not in FA_CACHE:
+        FA_CACHE[key] = frobenius_action(curve, p, n)
+    return FA_CACHE[key]
+
+
+def _reduce(point, p):
+    if point.at_infinity or Fraction(point.x).denominator % p == 0:
+        return INFINITY
+    x, y = Fraction(point.x), Fraction(point.y)
+    return Point(
+        x.numerator * pow(x.denominator, -1, p) % p,
+        y.numerator * pow(y.denominator, -1, p) % p,
+    )
+
+
+def _ex3_shifted(ex3_monic):
+    # the monic model of the input translate F(x + 3) of example 3
+    return HyperellipticCurve(taylor_shift([int(c) for c in ex3_monic[0].coeffs], 24))
+
+
+def test_seedless_series_vanish_at_known_points(ex1, ex3_monic):
+    # every disc is expanded about its lifted center, so the three series
+    # vanish at a rational point only because the Coleman integrals from
+    # infinity do (rank 0), not because the expansion was anchored there.
+    # On the two example models every known point is infinity, a Weierstrass
+    # point or has x = 0, so it is its own disc's lifted center; the
+    # translate F(x + 24) moves (0, +-512) to x = -24, off the lifted
+    # center, where the offsets are nonzero.
+    ex3 = ex3_monic[0]
+    shifted = _ex3_shifted(ex3_monic)
+    checked = 0
+    off_center = 0
+    for curve in (ex1, ex3, shifted):
+        points = search_rational_points(curve, 100)
+        for p_min in (7, 11):
+            p = good_reduction_prime(curve, p_min)
+            fa = _fa(curve, p)
+            ring = PadicRing(p, fa.precision)
+            floor = fa.precision - 3
+            for pt in points:
+                ds = disc_series(curve, fa, _reduce(pt, p))
+                lifted = pt if pt.at_infinity else Point(ring(pt.x), ring(pt.y))
+                t = ds.chart.param_of(lifted)
+                off_center += not t.is_zero and not all(c.is_zero for c in ds.offsets)
+                for i in range(3):
+                    val = ds.series_value(t, i)
+                    assert val.congruent(PadicScalar.zero(p, floor), required=floor) is True
+                checked += 1
+    assert checked == 16 + 12
+    assert off_center == 4
+
+
+def test_off_center_roots_claim_only_known_digits(ex3_monic):
+    # at p = 11 the root of the truncated series for (-24, -512) is wrong in
+    # its last digits; claimed at full precision, the point failed rational
+    # reconstruction and was reported as a torsion extra
+    curve = _ex3_shifted(ex3_monic)
+    known = search_rational_points(curve, 100)
+    fa = _fa(curve, 11)
+    ring = PadicRing(11, fa.precision)
+    for pt in known:
+        if pt.at_infinity:
+            continue
+        zeros, _ = common_zeros(disc_series(curve, fa, _reduce(pt, 11)))
+        assert any(
+            (z.x - ring(pt.x)).is_zero and (z.y - ring(pt.y)).is_zero for z in zeros
+        )
+    out = run_chabauty(curve, 11, known, fa_cache=FA_CACHE)
+    assert len(out.rational) == 6 and not out.higher_torsion_extras

@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from ckpoints.errors import NotASquare, NotSimpleRoot, PrecisionExhausted, ZeroSeed
+from ckpoints.errors import NotASquare, NotSimpleRoot, PrecisionExhausted, SingularSystem, ZeroSeed
 from ckpoints.padic import (
     PadicPoly,
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
+    _determinant,
     formal_integrate,
     hensel_simple_root,
     hensel_sqrt,
     padic_poly_roots,
+    solve_linear_system,
     truncated_discriminant,
 )
 
@@ -315,3 +317,85 @@ def test_discriminant_simple():
 def test_discriminant_quadratic_formula():
     s = Z7.series([-2, 0, 1], 5)  # t^2 - 2, disc = b^2 - 4ac = 8
     assert truncated_discriminant(s, 5).congruent(Z7(8)) is True
+
+
+# -- linear algebra against exact rational arithmetic ---------------------------
+
+
+def _exact_eliminate(rows):
+    """Fraction Gaussian elimination: (determinant, upper-triangular rows)."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0), rows
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det, rows
+
+
+def _exact_solve(matrix, rhs):
+    n = len(matrix)
+    _, a = _exact_eliminate([list(row) + [b] for row, b in zip(matrix, rhs)])
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (a[i][n] - sum(a[i][k] * x[k] for k in range(i + 1, n))) / a[i][i]
+    return x
+
+
+def _padic_matrix(rows):
+    return [[PadicScalar.from_fraction(Fraction(c), 7, 18) for c in r] for r in rows]
+
+
+def _agrees(got, exact, min_prec):
+    want = PadicScalar.from_fraction(exact, 7, 18)
+    return got.prec >= min_prec and got.congruent(want) is True
+
+
+def test_determinant_and_solve_match_fractions():
+    rng = random.Random(7)
+    for trial in range(40):
+        n = rng.randrange(2, 7)
+        # entries divisible by 7 make pivots of positive valuation likely
+        m = [[rng.randrange(-60, 61) * rng.choice((1, 1, 7)) for _ in range(n)] for _ in range(n)]
+        b = [rng.randrange(-60, 61) for _ in range(n)]
+        det, _ = _exact_eliminate(m)
+        assert _agrees(_determinant(_padic_matrix(m), 7), det, 12)
+        if det == 0:
+            continue
+        x = solve_linear_system(_padic_matrix(m), _padic_matrix([b])[0], 7)
+        for got, exact in zip(x, _exact_solve(m, b)):
+            assert _agrees(got, exact, 8)
+
+
+def test_determinant_sign_of_valuation_swap():
+    # the first column's minimum-valuation entry is in row 2, not row 0
+    m = [[7, 1, 2], [14, 3, 1], [1, 5, 4]]
+    det, _ = _exact_eliminate(m)
+    assert det == 7 * (12 - 5) - 1 * (56 - 1) + 2 * (70 - 3)
+    got = _determinant(_padic_matrix(m), 7)
+    assert _agrees(got, det, 17)
+    assert not _agrees(-got, det, 17)
+    x = solve_linear_system(_padic_matrix(m), _padic_matrix([[1, 0, 0]])[0], 7)
+    for got_i, exact in zip(x, _exact_solve(m, [1, 0, 0])):
+        assert _agrees(got_i, exact, 16)
+
+
+def test_singular_system_detected():
+    rng = random.Random(11)
+    for _ in range(10):
+        r0 = [rng.randrange(-30, 31) for _ in range(4)]
+        r1 = [rng.randrange(-30, 31) for _ in range(4)]
+        r2 = [rng.randrange(-30, 31) for _ in range(4)]
+        m = [r0, r1, [a + 2 * b for a, b in zip(r0, r1)], r2]
+        assert _exact_eliminate(m)[0] == 0
+        assert _determinant(_padic_matrix(m), 7).is_zero
+        with pytest.raises(SingularSystem):
+            solve_linear_system(_padic_matrix(m), _padic_matrix([[1, 2, 3, 4]])[0], 7)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ckpoints.pipeline
+from ckpoints import cli
 from ckpoints.curve import PointMap
 from ckpoints.errors import ParseError
 from ckpoints.pipeline import (
@@ -24,6 +25,7 @@ from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "examples_h1000.json"
+GOLDEN_P11 = GOLDEN.with_name("examples_p11_h100.json")
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +238,22 @@ def test_cli_config_error_exit_code():
 def test_cli_bad_arguments_exit_code():
     res = _run_cli("run", "--no-such-flag")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("prime", ["5", "9", "x"])
+def test_cli_run_rejects_bad_prime(tmp_path, capsys, prime):
+    out = tmp_path / "report.json"
+    argv = ["run", "--input", str(FIXTURE), "--prime", prime, "--output", str(out)]
+    assert cli.main(argv) == 1
+    assert "--prime" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_p11_matches_golden(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["run", "--input", str(FIXTURE), "--prime", "11", "--height-bound", "100"]
+    assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_P11.read_bytes()
 
 
 def test_cli_integrate_smoke(ex1):
