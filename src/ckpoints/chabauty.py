@@ -108,34 +108,25 @@ def disc_series(
 ) -> DiscSeries:
     """Expand the three functionals on the residue disc of an F_p point.
 
-    The disc center is Hensel-lifted and the offsets come from a Coleman
-    integral from infinity to it, so every disc is set up the same way
-    whatever rational points are known.
+    The disc center is Hensel-lifted and charted at t = 0.  Each series is
+    the formal antiderivative of a pulled-back differential plus its offset,
+    the Coleman integral from infinity to the center, so every disc is set
+    up the same way whatever rational points are known.
     """
-    p = fa.p
-    ring = PadicRing(p, fa.precision)
+    ring = PadicRing(fa.p, fa.precision)
     if order is None:
-        order = 2 * p + 1
-    g = curve.genus
+        order = 2 * fa.p + 1
     base = lift_point(disc, curve, ring)
     offsets = integral_functional(curve, fa, base, order).values
     chart = local_chart(base, curve, ring, order)
-    t_base = chart.param_of(base)
-    pulls = chart.omega_pullbacks()[:g]
     series = []
-    anchored_offsets = []
-    for i in range(g):
-        shift, pull = pulls[i]
-        anti = formal_integrate(pull.shift_pow(shift) if shift > 0 else pull)
+    # zip stops at the g holomorphic pullbacks
+    for (shift, pull), offset in zip(chart.omega_pullbacks(), offsets):
         if shift < 0:
             raise PrecisionExhausted("holomorphic pullback with a pole (internal)")
-        # re-anchor so that f_i(0) is the integral from infinity to the center
-        tail = -ilog(p, anti.order + 1)
-        const = offsets[i] - anti.evaluate(t_base, tail)
-        f_i = anti + PadicPowerSeries.constant(const, anti.order)
-        series.append(f_i)
-        anchored_offsets.append(const)
-    return DiscSeries(disc, base, chart, series, anchored_offsets)
+        anti = formal_integrate(pull.shift_pow(shift) if shift > 0 else pull)
+        series.append(anti + PadicPowerSeries.constant(offset, anti.order))
+    return DiscSeries(disc, base, chart, series, offsets)
 
 
 def common_zeros(

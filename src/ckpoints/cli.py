@@ -37,6 +37,13 @@ from .pipeline import RunConfig, emit_report, ingest, run_batch
 log = logging.getLogger("ck")
 
 
+def _odd_prime(text: str) -> int:
+    p = int(text)
+    if p < 3 or not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not an odd prime")
+    return p
+
+
 def _driver_prime(text: str) -> int:
     p = int(text)
     if p < 7 or not is_prime(p):
@@ -69,12 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     integ.add_argument("--curve", required=True)
     integ.add_argument("--from", dest="start", required=True, help='point "x,y" or "inf"')
     integ.add_argument("--to", dest="end", required=True)
-    integ.add_argument("--prime", type=int, required=True)
+    integ.add_argument("--prime", type=_odd_prime, required=True)
     integ.add_argument("--precision", type=int, default=None)
 
     fr = sub.add_parser("frobenius", help="Frobenius matrix and zeta data")
     fr.add_argument("--curve", required=True)
-    fr.add_argument("--prime", type=int, required=True)
+    fr.add_argument("--prime", type=_odd_prime, required=True)
     fr.add_argument("--precision", type=int, default=None)
     return parser
 

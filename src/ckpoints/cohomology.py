@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import HyperellipticCurve, Point
+from .curve import HyperellipticCurve, Point, is_prime
 from .errors import BadReduction, PoleAtPoint, PrecisionExhausted, RoundingAmbiguous
 from .intpoly import add, divmod_monic, mul, mul_rows, scale, trim, xgcd
 from .padic import PadicPoly, PadicRing, PadicScalar, ilog, int_valuation
@@ -202,7 +202,7 @@ def frobenius_action(curve: HyperellipticCurve, p: int, precision: int) -> Frobe
     raised automatically when the tracked denominator would eat into the
     requested digits.
     """
-    if p < 3 or p % 2 == 0:
+    if p < 3 or not is_prime(p):
         raise BadReduction("p must be an odd prime")
     if not curve.has_good_reduction(p):
         raise BadReduction(f"bad reduction at {p}")

@@ -1,17 +1,19 @@
 """Coleman integration of the basis differentials between Q_p-points.
 
 Integrals inside one residue disc are formal antiderivatives in a local
-coordinate (tiny integrals).  Between non-Weierstrass discs the integral is
-anchored at Teichmueller points, where Frobenius equivariance turns the
-unknown values into the solution of the linear system
+coordinate (tiny integrals).  Every other integral is a difference of two
+integrals from infinity, and those come from one primitive.  Frobenius
+fixes infinity and the Teichmueller point T of a non-Weierstrass disc, so
+equivariance turns the unknown values into the solution of
 
-    (M^T - I) [.. I_i ..] = [.. f_i(P') - f_i(Q') ..],
+    (M^T - I) [.. int_infinity^T omega_i ..] = [.. -f_i(T) ..],
 
-with M and the f_i from the cohomology module.  Endpoints in Weierstrass
-discs (the infinity disc included) are routed through the identity
-int_P^Q = (psi(Q) - psi(P))/2 with psi(R) = int_{iota R}^R, which avoids
-both the poles of the non-holomorphic basis elements at infinity and the
-absence of a Frobenius lift on Weierstrass discs.
+with M and the f_i from the cohomology module, and a tiny integral carries
+T to the endpoint.  The involution negates every basis differential, so in
+a Weierstrass disc (the infinity disc included) the integral from infinity
+is half the tiny integral from iota(R) to R, and 0 at the exact center;
+this avoids both the poles of the non-holomorphic basis elements at
+infinity and the absence of a Frobenius lift on Weierstrass discs.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class IntegralVector:
 
     The holomorphic block (i < g) is what the rational point search consumes;
     when an endpoint is exactly the point at infinity the i >= g entries are
-    the regularized values defined by the involution identity.
+    the regularized values for which int_infinity^(iota R) = -int_infinity^R.
     """
 
     values: list[PadicScalar]
@@ -102,7 +104,7 @@ def tiny_integral(
     Pulls each basis differential back along the disc chart, integrates
     formally, and evaluates between the chart parameters of the endpoints.
     Exact-infinity endpoints are rejected: the i >= g differentials have a
-    pole there (the caller routes such integrals through the involution).
+    pole there (coleman_integral routes such integrals through the involution).
     """
     p = ring.p
     if start.at_infinity and end.at_infinity:
@@ -194,70 +196,51 @@ def coleman_integral(
     order: int | None = None,
 ) -> IntegralVector:
     """Coleman integral of every basis differential from start to end."""
-    p = fa.p
-    ring = PadicRing(p, fa.precision)
-    if order is None:
-        order = 2 * p + 1
+    ring, order = _ring_and_order(fa, order)
+    p = ring.p
     if _same_point(start, end):
         return _zero_vector(curve, start, end, ring)
+    # an exact Weierstrass center has integral 0 from infinity; the other
+    # end's integral is returned as is rather than less a capped zero
     if _is_weierstrass_center(start):
-        psi = _involution_path_integral(curve, fa, end, ring, order)
-        return _vector(_half(psi.values, ring), start, end, p)
+        return _vector(_from_infinity(curve, fa, end, ring, order), start, end, p)
     if _is_weierstrass_center(end):
-        psi = _involution_path_integral(curve, fa, start, ring, order)
-        return _vector([-v for v in _half(psi.values, ring)], start, end, p)
+        values = _from_infinity(curve, fa, start, ring, order)
+        return _vector([-v for v in values], start, end, p)
     if reduce_point(start, p) == reduce_point(end, p):
         return tiny_integral(curve, start, end, ring, order)
-    if _in_weierstrass_disc(start, p) or _in_weierstrass_disc(end, p):
-        psi_end = _involution_path_integral(curve, fa, end, ring, order)
-        psi_start = _involution_path_integral(curve, fa, start, ring, order)
-        diff = [a - b for a, b in zip(psi_end.values, psi_start.values)]
-        return _vector(_half(diff, ring), start, end, p)
-    return _teichmuller_route(curve, fa, start, end, ring, order)
+    to_end = _from_infinity(curve, fa, end, ring, order)
+    to_start = _from_infinity(curve, fa, start, ring, order)
+    return _vector([a - b for a, b in zip(to_end, to_start)], start, end, p)
 
 
-def _half(values, ring):
-    inv2 = ring.one().div_int(2)
-    return [v * inv2 for v in values]
+def _ring_and_order(fa: FrobeniusAction, order: int | None) -> tuple[PadicRing, int]:
+    return PadicRing(fa.p, fa.precision), 2 * fa.p + 1 if order is None else order
 
 
-def _involution_path_integral(curve, fa, point, ring, order) -> IntegralVector:
-    """psi(R) = int from iota(R) to R, valid for any R != exact center."""
-    p = ring.p
-    mirror = involution(point)
+def _from_infinity(curve, fa, point, ring, order) -> list[PadicScalar]:
+    """int_infinity^point of every basis differential (see the module doc).
+
+    The Teichmueller system is half the one between iota(T) and T: every
+    correction f_i is odd in y, so f_i(iota T) = -f_i(T).
+    """
     if _is_weierstrass_center(point):
-        return _zero_vector(curve, mirror, point, ring)
-    if _in_weierstrass_disc(point, p):
-        return tiny_integral(curve, mirror, point, ring, order)
-    return _teichmuller_route(curve, fa, mirror, point, ring, order)
-
-
-def _teichmuller_route(curve, fa, start, end, ring, order) -> IntegralVector:
-    p = ring.p
-    t_start = teichmuller_point(start, curve, ring)
-    t_end = teichmuller_point(end, curve, ring)
-    head = tiny_integral(curve, start, t_start, ring, order)
-    mid = _solve_between_teichmuller(curve, fa, t_start, t_end, ring)
-    tail = tiny_integral(curve, t_end, end, ring, order)
-    values = [a + b + c for a, b, c in zip(head.values, mid, tail.values)]
-    return _vector(values, start, end, p)
-
-
-def _solve_between_teichmuller(curve, fa, t_start, t_end, ring) -> list[PadicScalar]:
-    """Solve (M^T - I) I = [f_i(P') - f_i(Q')] for the Teichmueller integrals."""
-    g = curve.genus
-    n = 2 * g
+        return [ring.zero() for _ in range(2 * curve.genus)]
+    if _in_weierstrass_disc(point, ring.p):
+        inv2 = ring.one().div_int(2)
+        mirror = tiny_integral(curve, involution(point), point, ring, order)
+        return [v * inv2 for v in mirror.values]
+    teich = teichmuller_point(point, curve, ring)
+    n = 2 * curve.genus
     one = ring.one()
     a = [
         [fa.matrix[j][i] - (one if i == j else ring.zero()) for j in range(n)]
         for i in range(n)
     ]
-    rhs = [
-        evaluate_correction(fa.corrections[i], t_start)
-        - evaluate_correction(fa.corrections[i], t_end)
-        for i in range(n)
-    ]
-    return solve_linear_system(a, rhs, ring.p)
+    rhs = [-evaluate_correction(corr, teich) for corr in fa.corrections]
+    head = solve_linear_system(a, rhs, ring.p)
+    tail = tiny_integral(curve, teich, point, ring, order)
+    return [h + t for h, t in zip(head, tail.values)]
 
 
 def integral_functional(
@@ -267,6 +250,6 @@ def integral_functional(
     order: int | None = None,
 ) -> IntegralVector:
     """The holomorphic triple int_infinity^point of x^i dx/2y, i = 0..g-1."""
-    full = coleman_integral(curve, fa, INFINITY, point, order)
-    hol = full.holomorphic
-    return IntegralVector(hol, INFINITY, point, fa.p, min(v.prec for v in hol))
+    ring, order = _ring_and_order(fa, order)
+    values = _from_infinity(curve, fa, point, ring, order)
+    return _vector(values[: curve.genus], INFINITY, point, fa.p)

@@ -281,6 +281,12 @@ def test_bad_reduction_rejected(ex1):
         frobenius_action(ex1, 2, 6)
 
 
+@pytest.mark.parametrize("p", [9, 15, 21])
+def test_composite_prime_rejected(ex1, p):
+    with pytest.raises(BadReduction, match="odd prime"):
+        frobenius_action(ex1, p, 6)
+
+
 def test_frobenius_tail_cutoff_is_stable(ex1):
     # raising the working precision must not change published digits
     fa_lo = frobenius_action(ex1, 7, 8)

@@ -1,8 +1,13 @@
 """Tests for tiny integrals, Teichmueller points, and Coleman integration."""
 
+import functools
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS
 
 from ckpoints.cohomology import evaluate_correction, frobenius_action
 from ckpoints.coleman import (
@@ -14,15 +19,24 @@ from ckpoints.coleman import (
 )
 from ckpoints.curve import (
     INFINITY,
+    HyperellipticCurve,
     Point,
     enumerate_fp_points,
     involution,
     lift_point,
     local_chart,
+    reduce_point,
+    scale_to_monic,
     search_rational_points,
 )
 from ckpoints.errors import DifferentDiscs, PoleAtPoint, WeierstrassDisc
-from ckpoints.padic import PadicRing, formal_integrate
+from ckpoints.padic import (
+    PadicPoly,
+    PadicRing,
+    formal_integrate,
+    hensel_simple_root,
+    hensel_sqrt,
+)
 
 P7 = 7
 N7 = 18
@@ -262,9 +276,6 @@ def test_integral_functional_on_example3(ex3_monic, fa1):
 def test_integral_functional_vanishes_at_torsion_points(ex2):
     # the found torsion points lie in the common zero set, so the triple of
     # integrals from infinity vanishes there; n * (triple) = 0 is consistent
-    from fractions import Fraction
-    from ckpoints.padic import hensel_sqrt
-
     fa = frobenius_action(ex2, P7, N7)
     x = RING(Fraction(-1, 8))
     f_at = ex2.padic_poly(RING).evaluate(x)
@@ -272,3 +283,119 @@ def test_integral_functional_vanishes_at_torsion_points(ex2):
     q = Point(x, hensel_sqrt(f_at, seed))
     vec = integral_functional(ex2, fa, q)
     assert_vec_zero(vec.values, N7 - 3)
+
+
+# -- integrals from infinity: golden, precision audit, the odd corrections -------
+
+GOLDEN_INTEGRALS = Path(__file__).parent / "golden" / "integrals_from_infinity.json"
+
+
+@functools.lru_cache(maxsize=None)
+def _monic_fixture(name):
+    coeffs = {"ex1": EX1_COEFFS, "ex2": EX2_COEFFS}.get(name)
+    return HyperellipticCurve(coeffs) if coeffs else scale_to_monic(EX3_RAW_COEFFS)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _frobenius(name, p):
+    return frobenius_action(_monic_fixture(name), p, 2 * p + 4)
+
+
+def test_integral_functional_matches_golden():
+    """int_infinity^P at the lifted center of every F_p point, as (val, unit, prec).
+
+    Written before the integrals from infinity went through one Teichmueller
+    point; it holds integral_functional(curve, fa, lift_point(P), 2p + 1) with
+    fa = frobenius_action(curve, p, 2p + 4) for the three monic fixtures at
+    p = 7 and 11.
+    """
+    golden = json.loads(GOLDEN_INTEGRALS.read_text())
+    assert [(e["curve"], e["p"]) for e in golden["entries"]] == [
+        (name, p) for name in ("ex1", "ex2", "ex3_monic") for p in (7, 11)
+    ]
+    for entry in golden["entries"]:
+        curve, p = _monic_fixture(entry["curve"]), entry["p"]
+        assert entry["coeffs"] == [str(c) for c in curve.coeffs]
+        assert (entry["precision"], entry["order"]) == (2 * p + 4, 2 * p + 1)
+        ring = PadicRing(p, 2 * p + 4)
+        fa = _frobenius(entry["curve"], p)
+        got = []
+        for pbar in enumerate_fp_points(curve, p):
+            vec = integral_functional(curve, fa, lift_point(pbar, curve, ring), 2 * p + 1)
+            key = "inf" if pbar.at_infinity else [pbar.x, pbar.y]
+            got.append([key, [[v.val, v.unit, v.prec] for v in vec.values]])
+        assert got == entry["points"]
+
+
+def _audit_points(curve, ring):
+    """Off-center points of example 1 built exactly, then Hensel-lifted in ring.
+
+    Non-Weierstrass discs: x = xbar + 7k, y the square root of F(x) over ybar.
+    The Weierstrass disc of (4, 0): y = 7k, x the root of F(x) - y^2 over 4.
+    The infinity disc: x = t^-2, y = t^-7 sqrt(t^14 F(t^-2)) with t = 7k.
+    """
+    f = curve.padic_poly(ring)
+    pts = []
+    for xbar, ybar, k in ((0, 3, 1), (1, 5, 3), (2, 6, 4), (6, 2, 2)):
+        x = ring(xbar + 7 * k)
+        pts.append(Point(x, hensel_sqrt(f.evaluate(x), ybar)))
+    for k in (1, 3):
+        shifted = PadicPoly([f[0] - ring(49 * k * k)] + f.coeffs[1:], ring.p)
+        pts.append(Point(hensel_simple_root(shifted, 4), ring(7 * k)))
+    for k, seed in ((1, 1), (2, 6)):
+        t = Fraction(7 * k)
+        v = sum(Fraction(c) * t ** (14 - 2 * j) for j, c in enumerate(curve.coeffs))
+        pts.append(Point(ring(t**-2), ring(t) ** -7 * hensel_sqrt(ring(v), seed)))
+    return pts
+
+
+def test_precision_audit_against_higher_precision(ex1, fa1):
+    """Every claimed digit of an integral survives a recomputation at N + 10.
+
+    The recomputation uses the Frobenius action at N + 10, the t-adic order
+    2(2p + 1) and the same endpoints Hensel-lifted at N + 10.
+    """
+    hi_ring = PadicRing(P7, N7 + 10)
+    fa_hi = frobenius_action(ex1, P7, N7 + 10)
+    lo_pts = _audit_points(ex1, RING)
+    hi_pts = _audit_points(ex1, hi_ring)
+    order, hi_order = 2 * P7 + 1, 2 * (2 * P7 + 1)
+    checked = 0
+
+    def agree(lo, hi):
+        nonlocal checked
+        for a, b in zip(lo.values, hi.values, strict=True):
+            assert a.congruent(b, required=a.prec) is True, (a, b)
+            checked += 1
+
+    for lo, hi in zip(lo_pts, hi_pts):
+        agree(integral_functional(ex1, fa1, lo, order), integral_functional(ex1, fa_hi, hi, hi_order))
+    for i in range(len(lo_pts)):
+        for j in range(i + 1, len(lo_pts)):
+            a, b = lo_pts[i], lo_pts[j]
+            if reduce_point(a, P7) == reduce_point(b, P7):
+                continue
+            agree(
+                coleman_integral(ex1, fa1, a, b, order),
+                coleman_integral(ex1, fa_hi, hi_pts[i], hi_pts[j], hi_order),
+            )
+    assert checked == 8 * 3 + 26 * 6
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3_monic"])
+def test_corrections_are_odd_in_y(name):
+    """f_i(iota T) = -f_i(T) exactly: the integral from infinity needs one T."""
+    curve, fa = _monic_fixture(name), _frobenius(name, P7)
+    assert all(w % 2 == 1 for corr in fa.corrections for w in corr)
+    ring = PadicRing(P7, fa.precision)
+    teichs = [
+        teichmuller_point(lift_point(pbar, curve, ring), curve, ring)
+        for pbar in enumerate_fp_points(curve, P7)
+        if not pbar.at_infinity and pbar.y != 0
+    ]
+    assert teichs
+    for t in teichs:
+        for corr in fa.corrections:
+            a = evaluate_correction(corr, involution(t))
+            b = -evaluate_correction(corr, t)
+            assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec)

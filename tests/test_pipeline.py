@@ -249,6 +249,16 @@ def test_cli_run_rejects_bad_prime(tmp_path, capsys, prime):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["integrate", "frobenius"])
+@pytest.mark.parametrize("prime", ["2", "9", "15", "x"])
+def test_cli_integrate_and_frobenius_take_only_odd_primes(capsys, command, prime):
+    argv = [command, "--curve", "[1,4,6,4,-7,-16,0,8]", "--prime", prime]
+    if command == "integrate":
+        argv += ["--from", "inf", "--to", "-1/2,0"]
+    assert cli.main(argv) == 1
+    assert "--prime" in capsys.readouterr().err
+
+
 def test_cli_run_p11_matches_golden(tmp_path):
     out = tmp_path / "report.json"
     argv = ["run", "--input", str(FIXTURE), "--prime", "11", "--height-bound", "100"]
