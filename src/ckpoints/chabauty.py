@@ -45,11 +45,21 @@ from .padic import (
 )
 
 
-def precisions(p: int) -> tuple[int, int]:
-    """Working precisions for the prime p: p-adic 2p+4 and t-adic 2p+1."""
+def precisions(p: int, n: int | None = None) -> tuple[int, int]:
+    """Working precisions for the prime p: p-adic n (2p+4 by default), t-adic M.
+
+    M is the least order with (M+1) - ilog_p(M+1) >= n - 3: the digits the
+    truncated series still determines at a root then reach the vanishing
+    floor n - 3.  At the default n, M = 2p+1.
+    """
     if p < 7:
         raise ValueError("the driver requires a prime p >= 7")
-    return 2 * p + 4, 2 * p + 1
+    if n is None:
+        n = 2 * p + 4
+    order = max(n - 4, 1)
+    while (order + 1) - ilog(p, order + 1) < n - 3:
+        order += 1
+    return n, order
 
 
 @dataclass
@@ -104,18 +114,17 @@ def disc_series(
     curve: HyperellipticCurve,
     fa: FrobeniusAction,
     disc: Point,
-    order: int | None = None,
 ) -> DiscSeries:
     """Expand the three functionals on the residue disc of an F_p point.
 
     The disc center is Hensel-lifted and charted at t = 0.  Each series is
     the formal antiderivative of a pulled-back differential plus its offset,
     the Coleman integral from infinity to the center, so every disc is set
-    up the same way whatever rational points are known.
+    up the same way whatever rational points are known.  The truncation
+    order follows the precision of fa (see precisions).
     """
     ring = PadicRing(fa.p, fa.precision)
-    if order is None:
-        order = 2 * fa.p + 1
+    order = precisions(fa.p, fa.precision)[1]
     base = lift_point(disc, curve, ring)
     offsets = integral_functional(curve, fa, base, order).values
     chart = local_chart(base, curve, ring, order)
@@ -129,22 +138,18 @@ def disc_series(
     return DiscSeries(disc, base, chart, series, offsets)
 
 
-def common_zeros(
-    ds: DiscSeries,
-    floor: int | None = None,
-) -> tuple[list[Point], int]:
+def common_zeros(ds: DiscSeries) -> tuple[list[Point], int]:
     """Points of the disc where all three series vanish, plus the series used.
 
     One series must have a squarefree truncation (nonvanishing truncated
     discriminant); its Z_p roots (after t = p*s) are checked against the
-    other two at the precision floor.  Each point's coordinates carry only
-    the digits that the truncated series determines.
+    other two at the precision floor N - 3.  Each point's coordinates carry
+    only the digits that the truncated series determines.
     """
     ring = ds.chart.ring
     p = ring.p
     order = min(s.order for s in ds.series)
-    if floor is None:
-        floor = ring.prec - 3
+    floor = ring.prec - 3
     chosen = None
     for i, f_i in enumerate(ds.series):
         disc_val = truncated_discriminant(f_i.truncate(order), order)
@@ -188,7 +193,6 @@ def run_chabauty(
     p: int | None = None,
     known_points: list[Point] | None = None,
     precision: int | None = None,
-    t_precision: int | None = None,
     prime_cap: int = 100,
     fa_cache: dict | None = None,
 ) -> ChabautyOutput:
@@ -218,9 +222,7 @@ def run_chabauty(
                 f"no prime below the cap {prime_cap} avoided degenerate series"
             )
         try:
-            out = _run_at_prime(
-                curve, p_current, precision, t_precision, escalations, fa_cache
-            )
+            out = _run_at_prime(curve, p_current, precision, escalations, fa_cache)
             break
         except AllSeriesDegenerate:
             p_current = good_reduction_prime(curve, p_current + 1)
@@ -235,10 +237,8 @@ def run_chabauty(
     return out
 
 
-def _run_at_prime(curve, p, precision, t_precision, escalations, fa_cache) -> ChabautyOutput:
-    n_default, m_default = precisions(p)
-    n = precision if precision is not None else n_default
-    order = t_precision if t_precision is not None else m_default
+def _run_at_prime(curve, p, precision, escalations, fa_cache) -> ChabautyOutput:
+    n, order = precisions(p, precision)
     key = (tuple(curve.coeffs), p, n)
     fa = None if fa_cache is None else fa_cache.get(key)
     if fa is None:
@@ -250,8 +250,7 @@ def _run_at_prime(curve, p, precision, t_precision, escalations, fa_cache) -> Ch
     found: list[Point] = []
     disc_logs: list[DiscLog] = []
     for disc, mirrored in fp_disc_representatives(curve, p):
-        ds = disc_series(curve, fa, disc, order)
-        zeros, chosen = common_zeros(ds, floor)
+        zeros, chosen = common_zeros(disc_series(curve, fa, disc))
         local: list[Point] = []
         for z in zeros:
             _append_unique(local, z, floor)

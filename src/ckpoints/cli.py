@@ -63,7 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--height-bound", type=int, default=1000)
     run.add_argument("--format", choices=("json", "csv", "text"), default="text")
     run.add_argument("--prime", type=_driver_prime, default=None, help="starting prime, at least 7")
-    run.add_argument("--precision", type=int, default=None)
+    run.add_argument(
+        "--precision", type=int, default=None,
+        help="p-adic precision N (default 2p+4); the t-adic order follows N",
+    )
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--timings", action="store_true", help="include timings (json loses determinism)")
     run.add_argument("--output", default=None, help="write the report to a file instead of stdout")

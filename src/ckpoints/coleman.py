@@ -34,6 +34,7 @@ from .padic import (
     PadicRing,
     PadicScalar,
     formal_integrate,
+    hensel_simple_root,
     hensel_sqrt,
     ilog,
     solve_linear_system,
@@ -160,14 +161,8 @@ def teichmuller_point(point: Point, curve: HyperellipticCurve, ring: PadicRing) 
     p = ring.p
     if _in_weierstrass_disc(point, p):
         raise WeierstrassDisc("Teichmueller points require a non-Weierstrass disc")
-    m = p**ring.prec
-    x = point.x.lift() % m
-    for _ in range(ring.prec + 1):
-        nxt = pow(x, p, m)
-        if nxt == x:
-            break
-        x = nxt
-    xs = ring(x)
+    # x is the root of x^p - x in the residue class of x mod p
+    xs = hensel_simple_root(ring.poly([0, -1] + [0] * (p - 2) + [1]), point.x.lift() % p)
     f = curve.padic_poly(ring)
     ybar = point.y.lift() % p
     return Point(xs, hensel_sqrt(f.evaluate(xs), ybar))

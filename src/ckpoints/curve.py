@@ -102,9 +102,6 @@ class HyperellipticCurve:
             out.append(c.numerator * pow(c.denominator, -1, p) % p)
         return out
 
-    def fp_eval(self, x: int, p: int) -> int:
-        return evaluate(self.fp_coeffs(p), x, p)
-
     def padic_poly(self, ring: PadicRing) -> PadicPoly:
         return ring.poly(self.coeffs)
 

@@ -343,13 +343,9 @@ class PadicPoly:
 
     __slots__ = ("coeffs", "p")
 
-    def __init__(self, coeffs: list[PadicScalar], p: int, monic: bool = False):
+    def __init__(self, coeffs: list[PadicScalar], p: int):
         self.coeffs = list(coeffs)
         self.p = p
-        if monic:
-            lead = self.coeffs[-1]
-            if lead.is_zero or lead.val != 0 or lead.unit % p != 1 % p:
-                raise ValueError("polynomial marked monic has non-unit leading coefficient")
 
     def degree(self) -> int:
         """Largest index with a certainly-nonzero coefficient; -1 if none."""
@@ -376,33 +372,6 @@ class PadicPoly:
         return PadicPoly(
             [self.coeffs[i].mul_int(i) for i in range(1, len(self.coeffs))], self.p
         )
-
-    def __add__(self, other: "PadicPoly") -> "PadicPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else None
-            b = other.coeffs[i] if i < len(other.coeffs) else None
-            if a is None:
-                out.append(b)
-            elif b is None:
-                out.append(a)
-            else:
-                out.append(a + b)
-        return PadicPoly(out, self.p)
-
-    def __mul__(self, other: "PadicPoly") -> "PadicPoly":
-        za = PadicScalar.zero(self.p, self.coeffs[0].prec + other.coeffs[0].prec)
-        out = [za] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PadicPoly(out, self.p)
-
-    def scale(self, c: PadicScalar) -> "PadicPoly":
-        return PadicPoly([a * c for a in self.coeffs], self.p)
 
     def __str__(self):
         return " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs))
@@ -566,6 +535,30 @@ class PadicPowerSeries:
 # ---------------------------------------------------------------------------
 
 
+def _newton_root(f: list[int], x: int, p: int, n: int) -> int:
+    """Newton-lift x to a root of the integer polynomial f, modulo p^(n - d).
+
+    Requires Hensel's condition v(f(x)) > 2d with d = v(f'(x)); the root
+    is then unique mod p^(n - d) and d stays fixed along the lift.  All
+    arithmetic is mod p^n.  Each step at least doubles v(f(x)) - 2d, so
+    n.bit_length() + 1 steps reach f(x) = 0 (mod p^n); the loop raises
+    PrecisionExhausted rather than run past that bound.
+    """
+    m = p**n
+    df = [i * f[i] for i in range(1, len(f))]
+    for _ in range(n.bit_length() + 1):
+        fx, dfx = evaluate(f, x, m), evaluate(df, x, m)
+        if dfx == 0:
+            raise PrecisionExhausted("derivative vanishes to working precision")
+        d = int_valuation(dfx, p)
+        if fx == 0:
+            return x % p ** (n - d)
+        if int_valuation(fx, p) <= 2 * d:
+            raise PrecisionExhausted("Hensel's condition v(f(x)) > 2 v(f'(x)) fails")
+        x = (x - fx // p**d * pow(dfx // p**d, -1, m)) % m
+    raise PrecisionExhausted("Newton lift did not converge")
+
+
 def hensel_sqrt(a: PadicScalar, seed: int) -> PadicScalar:
     """Square root of a unit a in Z_p, pinned by its residue mod p.
 
@@ -581,13 +574,7 @@ def hensel_sqrt(a: PadicScalar, seed: int) -> PadicScalar:
     a_int = a.unit % p**prec
     if (seed * seed - a_int) % p != 0:
         raise NotASquare(f"{seed}^2 != a (mod {p})")
-    x = seed
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        m = p**k
-        x = (x + a_int % m * pow(x, -1, m)) * pow(2, -1, m) % m
-    return PadicScalar(p, 0, x % p**prec, prec)
+    return PadicScalar(p, 0, _newton_root([-a_int, 0, 1], seed, p, prec), prec)
 
 
 def hensel_simple_root(f: PadicPoly, seed: int) -> PadicScalar:
@@ -602,19 +589,12 @@ def hensel_simple_root(f: PadicPoly, seed: int) -> PadicScalar:
         if not c.is_zero and c.val < 0:
             raise ValueError("hensel_simple_root requires p-integral coefficients")
     cs = [c.cap(prec).lift() for c in f.coeffs]
-    ds = [i * cs[i] for i in range(1, len(cs))]
     seed %= p
     if evaluate(cs, seed, p) != 0:
         raise NotSimpleRoot(f"{seed} is not a root mod {p}")
-    if evaluate(ds, seed, p) == 0:
+    if evaluate([i * cs[i] for i in range(1, len(cs))], seed, p) == 0:
         raise NotSimpleRoot(f"derivative vanishes at {seed} mod {p}")
-    x = seed
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        m = p**k
-        x = (x - evaluate(cs, x, m) * pow(evaluate(ds, x, m), -1, m)) % m
-    return PadicScalar.from_int(x, p, prec)
+    return PadicScalar.from_int(_newton_root(cs, seed, p, prec), p, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +616,6 @@ def formal_integrate(s: PadicPowerSeries) -> PadicPowerSeries:
     return PadicPowerSeries(out, s.order + 1, s.p)
 
 
-def formal_derivative(s: PadicPowerSeries) -> PadicPowerSeries:
-    return s.derivative()
-
-
 # ---------------------------------------------------------------------------
 # Z_p root finding
 # ---------------------------------------------------------------------------
@@ -655,23 +631,13 @@ def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tu
     if all(c == 0 for c in fp):
         raise PrecisionExhausted("polynomial vanishes mod p after content removal")
     dfp = [i * coeffs[i] % p for i in range(1, len(coeffs))]
-    deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
     out: list[tuple[int, int]] = []
     for r in range(p):
         if evaluate(fp, r, p) != 0:
             continue
         if evaluate(dfp, r, p) != 0:
             # simple root mod p: classical Hensel, unique root in this class
-            m = p**budget
-            x = r
-            k = 1
-            while k < budget:
-                k = min(2 * k, budget)
-                mk = p**k
-                fx = evaluate(coeffs, x, mk)
-                dfx = evaluate(deriv, x, mk)
-                x = (x - fx * pow(dfx, -1, mk)) % mk
-            out.append((x % m, budget))
+            out.append((_newton_root(coeffs, r, p, budget), budget))
         else:
             # cluster: zoom into the residue with x = r + p*u
             shifted = taylor_shift(coeffs, r)
@@ -715,26 +681,15 @@ def padic_poly_roots(f: PadicPoly) -> list[PadicScalar]:
         raise PrecisionExhausted("no significant digits left after content removal")
     raw = _zp_roots_int(ints, p, prec, 0)
     deriv = [i * ints[i] for i in range(1, len(ints))]
+    m = p**prec
     roots: list[PadicScalar] = []
     for x, k in raw:
-        m = p**prec
-        fx = evaluate(ints, x, m)
-        dfx = evaluate(deriv, x, m)
-        if dfx != 0 and fx != 0:
-            vd = int_valuation(dfx, p)
-            vf = int_valuation(fx, p)
-            if vf > 2 * vd:
-                # polish to the limit prec - vd allowed by the derivative
-                for _ in range(prec):
-                    fx = evaluate(ints, x, m)
-                    if fx == 0:
-                        break
-                    dfx = evaluate(deriv, x, m)
-                    vd = int_valuation(dfx, p)
-                    x = (x - (fx // p**vd) * pow(dfx // p**vd, -1, m)) % m
-                    if int_valuation(evaluate(ints, x, m) or m, p) >= prec - vd:
-                        break
-                k = max(k, prec - vd)
+        fx, dfx = evaluate(ints, x, m), evaluate(deriv, x, m)
+        if fx and dfx:
+            d = int_valuation(dfx, p)
+            if int_valuation(fx, p) > 2 * d and prec - d > k:
+                # polish to the limit prec - d allowed by the derivative
+                x, k = _newton_root(ints, x, p, prec), prec - d
         roots.append(PadicScalar.from_int(x, p, k).cap(k))
     # distinct residues by construction; sort for determinism
     roots.sort(key=lambda r: r.lift())

@@ -241,9 +241,7 @@ def test_criterion_6_robustness_invariances(ex1):
     assert bigger_prime.prime == 11
     assert {_as_tuple(c.rational) for c in bigger_prime.rational} == base_set
 
-    doubled = run_chabauty(
-        ex1, 7, known, precision=36, t_precision=30, fa_cache=FA_CACHE
-    )
+    doubled = run_chabauty(ex1, 7, known, precision=36, fa_cache=FA_CACHE)
     assert {_as_tuple(c.rational) for c in doubled.rational} == base_set
 
     unseeded = run_chabauty(ex1, 7, [], fa_cache=FA_CACHE)

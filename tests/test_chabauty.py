@@ -42,6 +42,10 @@ def test_precisions_formulas():
     assert precisions(13) == (30, 27)
     with pytest.raises(ValueError):
         precisions(5)
+    # the t-adic order follows a raised p-adic precision
+    assert precisions(7, 30) == (30, 27)
+    assert precisions(7, 36) == (36, 33)
+    assert precisions(11, 23) == (23, 20)
 
 
 def test_disc_series_infinity(ex1, fa1):
@@ -117,6 +121,20 @@ def test_run_chabauty_example2(ex2):
     for c in (a, b):
         assert c.x_min_poly == [1, 8]
         assert c.order == 18
+
+
+def test_run_chabauty_example2_at_raised_precision(ex2):
+    # the series tail must clear the higher vanishing floor N - 3 = 27
+    base = run_chabauty(ex2, 7, [], fa_cache=FA_CACHE)
+    out = run_chabauty(ex2, 7, [], precision=30, fa_cache=FA_CACHE)
+    assert out.precision == 30 and out.t_precision == 27
+    assert [_as_tuple(c.rational) for c in out.rational] == [
+        _as_tuple(c.rational) for c in base.rational
+    ]
+    assert out.two_torsion_extras == base.two_torsion_extras == []
+    assert [(c.x_min_poly, c.order) for c in out.higher_torsion_extras] == [
+        (c.x_min_poly, c.order) for c in base.higher_torsion_extras
+    ]
 
 
 def test_run_chabauty_example3(ex3_monic):

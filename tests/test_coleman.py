@@ -148,6 +148,35 @@ def test_teichmuller_idempotent(ex1):
     assert (t.x - t2.x).is_zero and (t.y - t2.y).is_zero
 
 
+def _teichmuller_x_by_iteration(x, p, prec):
+    """The Teichmueller lift of x mod p as the limit of x -> x^p."""
+    m = p**prec
+    x %= m
+    for _ in range(prec + 1):
+        nxt = pow(x, p, m)
+        if nxt == x:
+            return x
+        x = nxt
+    raise AssertionError("x -> x^p did not converge")
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3_monic"])
+def test_teichmuller_x_matches_power_iteration(name, p):
+    curve = _monic_fixture(name)
+    ring = PadicRing(p, 2 * p + 4)
+    checked = 0
+    for pbar in enumerate_fp_points(curve, p):
+        if pbar.at_infinity or pbar.y == 0:
+            continue
+        pt = lift_point(pbar, curve, ring)
+        t = teichmuller_point(pt, curve, ring)
+        assert t.x.prec == ring.prec
+        assert t.x.lift() == _teichmuller_x_by_iteration(pt.x.lift(), p, ring.prec)
+        checked += 1
+    assert checked > 0
+
+
 def test_teichmuller_rejects_weierstrass_disc(ex1):
     w = lift_point(Point(4, 0), ex1, RING)
     with pytest.raises(WeierstrassDisc):

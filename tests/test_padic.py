@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ckpoints.errors import NotASquare, NotSimpleRoot, PrecisionExhausted, SingularSystem, ZeroSeed
 from ckpoints.padic import (
@@ -12,6 +14,7 @@ from ckpoints.padic import (
     PadicRing,
     PadicScalar,
     _determinant,
+    _newton_root,
     formal_integrate,
     hensel_simple_root,
     hensel_sqrt,
@@ -172,6 +175,71 @@ def test_hensel_simple_root_randomized_true_root():
         val = f.evaluate(got)
         assert val.is_zero
         assert got.lift() % p == r0 % p
+
+
+# -- the Newton lift -----------------------------------------------------------
+
+
+def _times_linear(coeffs, root):
+    """Coefficients of (x - root) times the polynomial with these coefficients."""
+    out = [0] + list(coeffs)
+    for i in range(len(coeffs)):
+        out[i] -= root * coeffs[i]
+    return out
+
+
+def _value(coeffs, x):
+    return sum(c * x**i for i, c in enumerate(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([7, 11, 13]),
+    n=st.integers(1, 4),
+    root=st.integers(-(10**6), 10**6),
+    cofactor=st.lists(st.integers(-500, 500), min_size=1, max_size=4),
+)
+def test_newton_root_simple_matches_brute_force(p, n, root, cofactor):
+    # f = (x - root) * g with g(root) a unit: a planted simple root mod p
+    assume(_value(cofactor, root) % p)
+    f = _times_linear(cofactor, root)
+    m = p**n
+    seed = root % p
+    # oracle: every residue mod p^n above the seed at which f vanishes
+    brute = [x for x in range(seed, m, p) if _value(f, x) % m == 0]
+    assert brute == [_newton_root(f, seed, p, n)] == [root % m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([7, 11, 13]),
+    d=st.integers(1, 3),
+    extra=st.integers(1, 8),
+    root=st.integers(-(10**6), 10**6),
+    unit=st.integers(1, 10**4),
+    start=st.integers(0, 10**4),
+    cofactor=st.lists(st.integers(-500, 500), min_size=1, max_size=3),
+)
+def test_newton_root_near_cluster_right_mod_p_n_minus_d(p, d, extra, root, unit, start, cofactor):
+    # f = (x - root)(x - other) * g with v(root - other) = d, so
+    # d = v(f'(root)) > 0 and the lift is right only mod p^(n - d)
+    assume(unit % p and _value(cofactor, root) % p)
+    other = root + p**d * unit
+    f = _times_linear(_times_linear(cofactor, root), other)
+    n = 2 * d + extra
+    # v(x - root) > d makes v(f(x)) > 2d
+    x = root + p ** (d + 1) * start
+    got = _newton_root(f, x, p, n)
+    assert got == root % p ** (n - d)
+
+
+def test_newton_root_refuses_a_double_root_mod_p():
+    # f'(0) = 0: Hensel's condition cannot hold for x^2 - 7 at 0
+    with pytest.raises(PrecisionExhausted):
+        _newton_root([-7, 0, 1], 0, 7, 6)
+    # v(f(7)) = 1 <= 2 v(f'(7)) = 2 for x^2 - 14
+    with pytest.raises(PrecisionExhausted):
+        _newton_root([-14, 0, 1], 7, 7, 6)
 
 
 # -- formal integration ------------------------------------------------------
