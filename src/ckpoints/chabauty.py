@@ -50,13 +50,16 @@ def precisions(p: int, n: int | None = None) -> tuple[int, int]:
 
     M is the least order with (M+1) - ilog_p(M+1) >= n - 3: the digits the
     truncated series still determines at a root then reach the vanishing
-    floor n - 3.  At the default n, M = 2p+1.
+    floor n - 3.  At the default n, M = 2p+1.  The infinity disc shifts a
+    pullback by t^4, which needs M >= 3; M starts at n - 4, so n >= 7.
     """
     if p < 7:
         raise ValueError("the driver requires a prime p >= 7")
     if n is None:
         n = 2 * p + 4
-    order = max(n - 4, 1)
+    if n < 7:
+        raise ValueError(f"the p-adic precision must be at least 7, got {n}")
+    order = n - 4
     while (order + 1) - ilog(p, order + 1) < n - 3:
         order += 1
     return n, order

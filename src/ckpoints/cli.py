@@ -2,7 +2,7 @@
 
 Subcommands:
   run            process a curve file and emit a batch report
-  search-points  naive rational point search on one curve
+  search-points  rational point search on one curve, up to a height bound
   integrate      one Coleman integral vector, for debugging
   frobenius      the Frobenius matrix and zeta data of one curve
 
@@ -51,6 +51,29 @@ def _driver_prime(text: str) -> int:
     return p
 
 
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not positive")
+    return n
+
+
+def _run_precision(text: str) -> int:
+    n = int(text)
+    try:
+        precisions(7, n)  # the floor on n is the same for every prime
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ck",
@@ -60,20 +83,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="process a curve file")
     run.add_argument("--input", required=True, help="curve file, one [c0,...,c7] per line")
-    run.add_argument("--height-bound", type=int, default=1000)
+    run.add_argument("--height-bound", type=_nonnegative, default=1000)
     run.add_argument("--format", choices=("json", "csv", "text"), default="text")
     run.add_argument("--prime", type=_driver_prime, default=None, help="starting prime, at least 7")
     run.add_argument(
-        "--precision", type=int, default=None,
+        "--precision", type=_run_precision, default=None,
         help="p-adic precision N (default 2p+4); the t-adic order follows N",
     )
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=_positive, default=1)
     run.add_argument("--timings", action="store_true", help="include timings (json loses determinism)")
     run.add_argument("--output", default=None, help="write the report to a file instead of stdout")
 
-    sp = sub.add_parser("search-points", help="naive rational point search")
+    sp = sub.add_parser("search-points", help="rational point search up to a height bound")
     sp.add_argument("--curve", required=True)
-    sp.add_argument("--height-bound", type=int, default=1000)
+    sp.add_argument("--height-bound", type=_nonnegative, default=1000)
 
     integ = sub.add_parser("integrate", help="one Coleman integral vector")
     integ.add_argument("--curve", required=True)

@@ -3,7 +3,7 @@
 A curve is y^2 = F(x) with F monic, squarefree, of odd degree 2g+1 over Q.
 The module covers model validation, rescaling non-monic models to monic
 ones, reduction mod p, point enumeration and Hensel lifting, local charts
-(power-series coordinates on residue discs), naive rational point search,
+(power-series coordinates on residue discs), a sieved rational point search,
 and heights.
 """
 
@@ -419,11 +419,29 @@ def _solve_weierstrass_x(f: PadicPoly, x0: PadicScalar, ring: PadicRing, order: 
 # ---------------------------------------------------------------------------
 
 
+# Sieve moduli: one power of each prime below 64.  The higher powers of 2,
+# 3, 5 and 7 strike more numerators than the primes alone would.
+_SIEVE_MODULI = (64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
 def search_rational_points(curve: HyperellipticCurve, height_bound: int) -> list[Point]:
     """All rational points (n/d, y) with max(|n|, |d|) <= height_bound, plus infinity.
 
-    Plain two-loop scan with residue prefilters and an exact integer square
-    test; deterministic output order (infinity first, then by (x, y)).
+    With L the lcm of the coefficient denominators and ic = L^2 F (an
+    integer polynomial), a point with x = n/d in lowest terms has
+    y = s / (L d^((deg+1)/2)), where s^2 = q(n, d) = d^(deg+1) ic(n/d) is
+    an integer.  The search is a sieve in the style of Stoll's ratpoints:
+    for each d it keeps one bitmask over the numerators n in [-H, H] and
+    ANDs into it one mask per sieve modulus m, a power of a prime l.  The
+    sieve is exact.  When l does not divide d,
+    q(n, d) = d^(deg+1) ic(n d^-1) (mod m) and d^(deg+1) is a unit square
+    (deg + 1 is even), so q(n, d) can be a square only if ic(n d^-1 mod m)
+    is a square mod m, counting 0.  When l divides d, only the n that l
+    divides are struck, which gcd(n, d) = 1 rules out anyway.  The mask of
+    a class d mod m is one m-bit period tiled across the box by a single
+    multiplication.  Every survivor still passes gcd(n, d) = 1, an exact
+    integer square test and F(x) = y^2.  Deterministic output order:
+    infinity first, then by (x, y).
     """
     points = [INFINITY]
     if height_bound < 1:
@@ -433,57 +451,58 @@ def search_rational_points(curve: HyperellipticCurve, height_bound: int) -> list
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
     ic = [int(c * lcm * lcm) for c in curve.coeffs]
     deg = curve.degree
+    half = (deg + 1) // 2
 
-    def g_of(n: int, d: int) -> int:
+    def q_of(n: int, d: int) -> int:
         acc = 0
         dp = 1
-        npows = [1]
-        for _ in range(deg):
-            npows.append(npows[-1] * n)
-        for j in range(deg, -1, -1):
-            acc += ic[j] * npows[j] * dp
+        for c in reversed(ic):
+            acc = acc * n + c * dp
             dp *= d
-        return acc
+        return acc * d
 
-    mods = (64, 63)
-    tables = []
-    for m in mods:
-        tab = bytearray(m * m)
+    # bit i of a mask stands for the numerator n = i - height_bound
+    width = 2 * height_bound + 1
+    full = (1 << width) - 1
+    sieve = []
+    for m in _SIEVE_MODULI:
         squares = {x * x % m for x in range(m)}
-        for a in range(m):
-            for b in range(m):
-                acc = 0
-                dp = 1
-                ap = [1]
-                for _ in range(deg):
-                    ap.append(ap[-1] * a % m)
-                for j in range(deg, -1, -1):
-                    acc = (acc + ic[j] * ap[j] * dp) % m
-                    dp = dp * b % m
-                tab[a * m + b] = 1 if (acc * b % m) in squares else 0
-        tables.append(tab)
+        ok = [evaluate(ic, x, m) in squares for x in range(m)]
+        tiles = -(-width // m)
+        repunit = ((1 << (m * tiles)) - 1) // ((1 << m) - 1)
+        sieve.append((m, ok, repunit))
+    masks: dict[tuple[int, int], int] = {}
 
     found = []
     for d in range(1, height_bound + 1):
-        d4 = d**4
-        for n in range(-height_bound, height_bound + 1):
+        alive = full
+        for m, ok, repunit in sieve:
+            b = d % m
+            mask = masks.get((m, b))
+            if mask is None:
+                unit = math.gcd(b, m) == 1
+                inv = pow(b, -1, m) if unit else 0
+                period = 0
+                for j in range(m):
+                    n = j - height_bound
+                    if ok[n * inv % m] if unit else math.gcd(n, m) == 1:
+                        period |= 1 << j
+                mask = masks[m, b] = period * repunit & full
+            alive &= mask
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            n = low.bit_length() - 1 - height_bound
             if math.gcd(n, d) != 1:
                 continue
-            ok = True
-            for m, tab in zip(mods, tables):
-                if not tab[(n % m) * m + d % m]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            q = g_of(n, d) * d
+            q = q_of(n, d)
             if q < 0:
                 continue
             s = math.isqrt(q)
             if s * s != q:
                 continue
             x = Fraction(n, d)
-            y = Fraction(s, lcm * d4)
+            y = Fraction(s, lcm * d**half)
             if curve.f_eval(x) != y * y:
                 continue
             if y == 0:

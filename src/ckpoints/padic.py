@@ -622,7 +622,16 @@ def formal_integrate(s: PadicPowerSeries) -> PadicPowerSeries:
 
 
 def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tuple[int, int]]:
-    """All Z_p roots of the integer polynomial, as (residue, known-mod-p^k)."""
+    """All Z_p roots of the integer polynomial, as (residue, known-mod-p^k).
+
+    Each root x comes with k >= budget - v(f'(x)), the most that Hensel's
+    lemma allows, so no Newton polish can add digits.  A simple root mod p
+    is lifted to k = budget with v(f'(x)) = 0.  A cluster root x = r + p*u
+    comes from a root u of g(u) = f(r + p*u) / p^c, where c is the content,
+    returned with k' >= (budget - c) - v(g'(u)).  Since
+    g'(u) = p f'(x) / p^c, v(f'(x)) = v(g'(u)) + c - 1, and the root is
+    known to k = min(budget, 1 + k') >= budget - v(f'(x)) digits.
+    """
     if budget < 1:
         raise PrecisionExhausted("root search ran out of p-adic precision")
     if depth > 4 * budget + 8:
@@ -679,18 +688,7 @@ def padic_poly_roots(f: PadicPoly) -> list[PadicScalar]:
         prec -= content
     if prec < 1:
         raise PrecisionExhausted("no significant digits left after content removal")
-    raw = _zp_roots_int(ints, p, prec, 0)
-    deriv = [i * ints[i] for i in range(1, len(ints))]
-    m = p**prec
-    roots: list[PadicScalar] = []
-    for x, k in raw:
-        fx, dfx = evaluate(ints, x, m), evaluate(deriv, x, m)
-        if fx and dfx:
-            d = int_valuation(dfx, p)
-            if int_valuation(fx, p) > 2 * d and prec - d > k:
-                # polish to the limit prec - d allowed by the derivative
-                x, k = _newton_root(ints, x, p, prec), prec - d
-        roots.append(PadicScalar.from_int(x, p, k).cap(k))
+    roots = [PadicScalar.from_int(x, p, k).cap(k) for x, k in _zp_roots_int(ints, p, prec, 0)]
     # distinct residues by construction; sort for determinism
     roots.sort(key=lambda r: r.lift())
     return roots

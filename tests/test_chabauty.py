@@ -48,6 +48,18 @@ def test_precisions_formulas():
     assert precisions(11, 23) == (23, 20)
 
 
+@pytest.mark.parametrize("n", [-3, 2, 6])
+def test_precisions_reject_n_below_7(n):
+    # below 7 the t-adic order drops under 3 and the infinity disc's t^4
+    # shift no longer fits
+    with pytest.raises(ValueError, match="at least 7"):
+        precisions(7, n)
+
+
+def test_precisions_floor():
+    assert precisions(7, 7) == (7, 3)
+
+
 def test_disc_series_infinity(ex1, fa1):
     ds = disc_series(ex1, fa1, INFINITY)
     assert all(c.is_zero for c in ds.offsets)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ckpoints.curve import (
     INFINITY,
@@ -262,6 +264,128 @@ def test_search_rational_points_example3(ex3_monic):
 
 def test_search_rational_points_zero_bound(ex1):
     assert search_rational_points(ex1, 0) == [INFINITY]
+
+
+# The two-loop scan that the sieve replaced, kept verbatim as an oracle.
+def _scan_oracle(curve: HyperellipticCurve, height_bound: int) -> list[Point]:
+    """All rational points (n/d, y) with max(|n|, |d|) <= height_bound, plus infinity.
+
+    Plain two-loop scan with residue prefilters and an exact integer square
+    test; deterministic output order (infinity first, then by (x, y)).
+    """
+    points = [INFINITY]
+    if height_bound < 1:
+        return points
+    lcm = 1
+    for c in curve.coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ic = [int(c * lcm * lcm) for c in curve.coeffs]
+    deg = curve.degree
+
+    def g_of(n: int, d: int) -> int:
+        acc = 0
+        dp = 1
+        npows = [1]
+        for _ in range(deg):
+            npows.append(npows[-1] * n)
+        for j in range(deg, -1, -1):
+            acc += ic[j] * npows[j] * dp
+            dp *= d
+        return acc
+
+    mods = (64, 63)
+    tables = []
+    for m in mods:
+        tab = bytearray(m * m)
+        squares = {x * x % m for x in range(m)}
+        for a in range(m):
+            for b in range(m):
+                acc = 0
+                dp = 1
+                ap = [1]
+                for _ in range(deg):
+                    ap.append(ap[-1] * a % m)
+                for j in range(deg, -1, -1):
+                    acc = (acc + ic[j] * ap[j] * dp) % m
+                    dp = dp * b % m
+                tab[a * m + b] = 1 if (acc * b % m) in squares else 0
+        tables.append(tab)
+
+    found = []
+    for d in range(1, height_bound + 1):
+        d4 = d**4
+        for n in range(-height_bound, height_bound + 1):
+            if math.gcd(n, d) != 1:
+                continue
+            ok = True
+            for m, tab in zip(mods, tables):
+                if not tab[(n % m) * m + d % m]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            q = g_of(n, d) * d
+            if q < 0:
+                continue
+            s = math.isqrt(q)
+            if s * s != q:
+                continue
+            x = Fraction(n, d)
+            y = Fraction(s, lcm * d4)
+            if curve.f_eval(x) != y * y:
+                continue
+            if y == 0:
+                found.append(Point(x, Fraction(0)))
+            else:
+                found.append(Point(x, y))
+                found.append(Point(x, -y))
+    found.sort(key=lambda pt: (pt.x, pt.y))
+    return points + found
+
+
+
+@pytest.mark.parametrize("height_bound", [0, 1, 2, 100, 1000])
+def test_search_sieve_matches_scan_on_fixtures(ex1, ex2, ex3_monic, height_bound):
+    for curve in (ex1, ex2, ex3_monic[0]):
+        assert search_rational_points(curve, height_bound) == _scan_oracle(curve, height_bound)
+
+
+# y^2 = x(x^2 - 1)(x^2 - 4)(x^2 - 9) + c0: seven Weierstrass points at
+# c0 = 0; at c0 = 4, twenty affine points, four of them with x not integral
+@pytest.mark.parametrize("c0, count", [(0, 8), (4, 21)])
+def test_search_sieve_matches_scan_many_points(c0, count):
+    curve = HyperellipticCurve([c0, -36, 0, 49, 0, -14, 0, 1])
+    pts = search_rational_points(curve, 200)
+    assert len(pts) == count
+    assert pts == _scan_oracle(curve, 200)
+
+
+# denominators divisible by 2, 3, 5, 7 and 61, so that the primes of some
+# sieve moduli divide the lcm L
+_small_fraction = st.builds(
+    Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 2, 3, 4, 5, 7, 9, 25, 49, 61])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    middle=st.lists(_small_fraction, min_size=6, max_size=6),
+    x0=_small_fraction,
+    y0=_small_fraction,
+    height_bound=st.integers(0, 60),
+)
+def test_search_sieve_matches_scan_random_septics(middle, x0, y0, height_bound):
+    # c0 is chosen so that (x0, y0) lies on the curve
+    tail = [Fraction(0)] + middle + [Fraction(1)]
+    c0 = y0 * y0 - sum(c * x0**j for j, c in enumerate(tail))
+    try:
+        curve = HyperellipticCurve([c0] + tail[1:])
+    except SingularModel:
+        assume(False)
+    pts = search_rational_points(curve, height_bound)
+    assert pts == _scan_oracle(curve, height_bound)
+    if max(abs(x0.numerator), x0.denominator) <= height_bound:
+        assert Point(x0, y0) in pts
 
 
 def test_global_height():

@@ -18,6 +18,7 @@ from ckpoints.padic import (
     formal_integrate,
     hensel_simple_root,
     hensel_sqrt,
+    int_valuation,
     padic_poly_roots,
     solve_linear_system,
     truncated_discriminant,
@@ -367,6 +368,36 @@ def test_roots_cluster_separation():
     f = Z7.poly([98, -21, 1])  # (x-7)(x-14)
     roots = sorted(r.lift_centered() for r in padic_poly_roots(f))
     assert roots == [7, 14]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([7, 11]),
+    d=st.integers(1, 3),
+    extra=st.integers(1, 6),
+    root=st.integers(-(10**6), 10**6),
+    unit=st.integers(1, 10**4),
+    cofactor=st.lists(st.integers(-500, 500), min_size=1, max_size=3),
+)
+def test_roots_reach_the_hensel_limit(p, d, extra, root, unit, cofactor):
+    # f = (x - root)(x - other) * g with v(root - other) = d: a planted
+    # cluster.  Every root comes back known to prec - v(f'(x)) digits, the
+    # Hensel limit, so no Newton polish could add any.
+    other = root + p**d * unit
+    assume(unit % p and any(c % p for c in cofactor))
+    assume(_value(cofactor, root) % p and _value(cofactor, other) % p)
+    f = _times_linear(_times_linear(cofactor, root), other)
+    prec = 2 * d + extra
+    try:
+        roots = padic_poly_roots(PadicPoly([PadicScalar.from_int(c, p, prec) for c in f], p))
+    except PrecisionExhausted:
+        # g may carry a cluster of its own that prec digits cannot separate
+        assume(False)
+    deriv = [i * f[i] for i in range(1, len(f))]
+    for r in roots:
+        assert r.prec >= prec - int_valuation(_value(deriv, r.lift()), p)
+    for planted in (root, other):
+        assert sum((r.lift() - planted) % p**r.prec == 0 for r in roots) == 1
 
 
 # -- truncated_discriminant ---------------------------------------------------

@@ -26,6 +26,7 @@ from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "examples_h1000.json"
 GOLDEN_P11 = GOLDEN.with_name("examples_p11_h100.json")
+GOLDEN_POINTS = GOLDEN.with_name("search_points_h10000.txt")
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,17 @@ def test_cli_search_points():
     assert "(-1/2, 0)" in res.stdout
 
 
+def test_cli_search_points_h10000_matches_golden(capsys):
+    # the golden was written by the two-loop scan the sieve replaced
+    out = []
+    for line in FIXTURE.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        assert cli.main(["search-points", "--curve", line, "--height-bound", "10000"]) == 0
+        out.append(f"# {line}\n" + capsys.readouterr().out)
+    assert "".join(out) == GOLDEN_POINTS.read_text()
+
+
 def test_cli_config_error_exit_code():
     res = _run_cli("run", "--input", "/nonexistent/file.txt")
     assert res.returncode == 1
@@ -238,6 +250,46 @@ def test_cli_config_error_exit_code():
 def test_cli_bad_arguments_exit_code():
     res = _run_cli("run", "--no-such-flag")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--height-bound", "-5"),
+        ("--jobs", "0"),
+        ("--jobs", "-1"),
+        ("--precision", "-3"),
+        ("--precision", "2"),
+        ("--precision", "6"),
+    ],
+)
+def test_cli_run_rejects_bad_counts(tmp_path, capsys, option, value):
+    out = tmp_path / "report.json"
+    argv = ["run", "--input", str(FIXTURE), option, value, "--output", str(out)]
+    assert cli.main(argv) == 1
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_search_points_rejects_negative_height(capsys):
+    argv = ["search-points", "--curve", "[1,4,6,4,-7,-16,0,8]", "--height-bound", "-1"]
+    assert cli.main(argv) == 1
+    assert "--height-bound" in capsys.readouterr().err
+    assert cli.main(argv[:-1] + ["0"]) == 0
+    assert capsys.readouterr().out == "inf\n"
+
+
+def test_cli_run_precision_7_finds_the_default_points(tmp_path):
+    def points(*extra):
+        out = tmp_path / "report.json"
+        argv = ["run", "--input", str(FIXTURE), "--height-bound", "10", "--format", "json"]
+        assert cli.main(argv + ["--output", str(out), *extra]) == 0
+        records = json.loads(out.read_text())["records"]
+        return [(r["precision"], r["rational_points"]) for r in records]
+
+    low, default = points("--precision", "7"), points()
+    assert [n for n, _ in low] == [7, 7, 7]
+    assert [pts for _, pts in low] == [pts for _, pts in default]
 
 
 @pytest.mark.parametrize("prime", ["5", "9", "x"])
