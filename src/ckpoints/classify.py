@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cohomology import FrobeniusAction, jacobian_order_fp
 from .curve import HyperellipticCurve, Point, reduce_point
-from .errors import CkError, NotTorsionConsistent
+from .errors import CkError, LatticeReductionStalled, NotTorsionConsistent
 from .intpoly import add, divmod_monic, evaluate, monic, mul, scale, trim, xgcd
 from .padic import PadicRing, PadicScalar, hensel_simple_root, hensel_sqrt
 
@@ -170,6 +170,9 @@ def _irreducible_or_factor(g, lift, p, prec, slack):
     return g
 
 
+_LLL_MAX_ROUNDS = 10000
+
+
 def _lll(basis: list[list[int]], delta=Fraction(3, 4)) -> list[list[int]]:
     """Textbook LLL for the tiny lattices used here (dimension <= 4)."""
     b = [list(map(int, row)) for row in basis]
@@ -191,10 +194,11 @@ def _lll(basis: list[list[int]], delta=Fraction(3, 4)) -> list[list[int]]:
         return mu, bstar_sq
 
     mu, bstar_sq = gramschmidt()
-    k = 1
-    guard = 0
-    while k < n and guard < 10000:
-        guard += 1
+    k, rounds = 1, 0
+    while k < n:
+        rounds += 1
+        if rounds > _LLL_MAX_ROUNDS:
+            raise LatticeReductionStalled(f"LLL did not finish in {_LLL_MAX_ROUNDS} rounds")
         for j in range(k - 1, -1, -1):
             if abs(mu[k][j]) > Fraction(1, 2):
                 r = int(round(mu[k][j]))

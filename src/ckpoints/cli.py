@@ -103,12 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
     integ.add_argument("--from", dest="start", required=True, help='point "x,y" or "inf"')
     integ.add_argument("--to", dest="end", required=True)
     integ.add_argument("--prime", type=_odd_prime, required=True)
-    integ.add_argument("--precision", type=int, default=None)
+    integ.add_argument("--precision", type=_run_precision, default=None)
 
     fr = sub.add_parser("frobenius", help="Frobenius matrix and zeta data")
     fr.add_argument("--curve", required=True)
     fr.add_argument("--prime", type=_odd_prime, required=True)
-    fr.add_argument("--precision", type=int, default=None)
+    fr.add_argument("--precision", type=_run_precision, default=None)
     return parser
 
 
@@ -155,7 +155,7 @@ def _cmd_integrate(args) -> int:
     p = args.prime
     if not curve.has_good_reduction(p):
         raise CkError(f"bad reduction at {p}")
-    n = args.precision if args.precision else precisions(max(p, 7))[0]
+    n = args.precision if args.precision is not None else precisions(max(p, 7))[0]
     ring = PadicRing(p, n)
     start = _lift_rational_point(_parse_point(args.start), curve, pmap, ring)
     end = _lift_rational_point(_parse_point(args.end), curve, pmap, ring)
@@ -179,14 +179,14 @@ def _lift_rational_point(pt: Point, curve, pmap, ring) -> Point:
 def _cmd_frobenius(args) -> int:
     curve, pmap = scale_to_monic(parse_curve_line(args.curve))
     p = args.prime
-    n = args.precision if args.precision else precisions(max(p, 7))[0]
+    n = args.precision if args.precision is not None else precisions(max(p, 7))[0]
     fa = frobenius_action(curve, p, n)
     doc = {
         "prime": p,
         "precision": n,
         "matrix": [[str(c) for c in row] for row in fa.matrix],
         "corrections_terms": [
-            {str(w): len(poly.coeffs) for w, poly in corr.items()} for corr in fa.corrections
+            {str(w): len(row) for w, row in zip(corr.ws, corr.rows)} for corr in fa.corrections
         ],
         "zeta_char_poly": zeta_char_poly(fa),
         "jacobian_order_fp": jacobian_order_fp(fa),

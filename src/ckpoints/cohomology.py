@@ -9,11 +9,16 @@ reducing pole orders and degrees against the relations
     d(b y^(1-2s)) = [2 b' F + (1-2s) b F'] y^(-2s) dx/(2y)
     d(x^(j-2g) y) = [2(j-2g) x^(j-2g-1) F + x^(j-2g) F'] dx/(2y).
 
-The hot loops run on plain integers modulo p^Nw with a single running
-power-of-p denominator: every division by an odd integer u*p^v multiplies
-the remaining state by p^v (exactly) and the divided term by the inverse of
-u, so all stored integers stay exact representatives modulo p^Nw and the
-final published precision Nw - e is a guaranteed lower bound.
+The hot loops run on plain integers modulo p^Nw under a running power-of-p
+denominator p^e: every division by an odd integer u*p^v raises e by v and
+multiplies the divided term by the inverse of u.  Each stored polynomial
+keeps the exponent it was stored at and is multiplied by p to the
+difference when it is next read or published, so all stored integers stay
+exact representatives modulo p^Nw and the published precision Nw - e is a
+guaranteed lower bound.  Only the 2g x 2g matrix becomes PadicScalars; each
+correction f_i stays flat (Correction: one integer row per odd y-exponent,
+the shared exponent e and one absolute precision N) and is evaluated by
+one integer Horner modulo p^(N + e).
 
 The series is stored in a level representation {s: b_s(x)} standing for
 sum_s b_s F^(-s) with deg b_s < deg F.  Multiplying by W = E F^(-p), with E
@@ -35,24 +40,44 @@ from fractions import Fraction
 
 from .curve import HyperellipticCurve, Point, is_prime
 from .errors import BadReduction, PoleAtPoint, PrecisionExhausted, RoundingAmbiguous
-from .intpoly import add, divmod_monic, mul, mul_rows, scale, trim, xgcd
-from .padic import PadicPoly, PadicRing, PadicScalar, ilog, int_valuation
+from .intpoly import add, divmod_monic, evaluate, mul, mul_rows, scale, trim, xgcd
+from .padic import PadicRing, PadicScalar, ilog, int_valuation
+
+
+@dataclass
+class Correction:
+    """f = sum_w q_w(x) y^w with every coefficient of q_w equal to r / p^e.
+
+    ws are the sorted odd y-exponents and rows[k] holds the residues r of
+    q_{ws[k]} modulo p^(prec + e): f is known to absolute precision prec.
+    val is the least valuation of a coefficient (prec when all vanish).
+    """
+
+    p: int
+    ws: list[int]
+    rows: list[list[int]]
+    e: int
+    prec: int
+
+    def __post_init__(self):
+        top = self.p ** (self.prec + self.e)
+        self.val = ilog(self.p, math.gcd(top, *(c for row in self.rows for c in row))) - self.e
 
 
 @dataclass
 class FrobeniusAction:
     """Matrix of phi* on the basis omega_i plus exact-form corrections.
 
-    matrix[j][i] is the omega_j-coefficient of the reduction of phi*omega_i;
-    corrections[i] maps odd y-exponents w to the x-polynomial q_w with
-    f_i = sum_w q_w(x) y^w.
+    matrix[j][i] is the omega_j-coefficient of the reduction of phi*omega_i
+    and corrections[i] is the f_i with phi*omega_i = sum_j matrix[j][i]
+    omega_j + df_i.
     """
 
     curve: HyperellipticCurve
     p: int
     precision: int
     matrix: list[list[PadicScalar]]
-    corrections: list[dict[int, PadicPoly]]
+    corrections: list[Correction]
 
     @property
     def genus(self) -> int:
@@ -65,7 +90,11 @@ class FrobeniusAction:
 
 
 class _ReductionState:
-    """Mutable state for one reduction: levels, corrections, running scale."""
+    """Mutable state for one reduction: levels, corrections, running scale.
+
+    levels (level 0 included) and corrections hold (exponent, polynomial)
+    entries, the polynomial standing for its value times p^exponent.
+    """
 
     def __init__(self, fints, dints, sfints, p, nw, genus):
         self.f = fints
@@ -75,41 +104,30 @@ class _ReductionState:
         self.nw = nw
         self.m = p**nw
         self.g = genus
-        self.e = 0  # running power-of-p denominator of everything stored
-        self.levels: dict[int, list[int]] = {}
-        self.level0: list[int] = []
-        self.corrections: dict[int, list[int]] = {}
+        self.e = 0  # running power-of-p denominator
+        self.levels: dict[int, tuple[int, list[int]]] = {}
+        self.corrections: dict[int, tuple[int, list[int]]] = {}
+
+    def _current(self, entry) -> list[int]:
+        """An entry's polynomial rescaled to the running exponent."""
+        e, poly = entry
+        return poly if e == self.e else scale(poly, self.p ** (self.e - e), self.m)
+
+    def _accumulate(self, table, key: int, poly: list[int]):
+        cur = table.get(key)
+        table[key] = (self.e, add(self._current(cur), poly, self.m) if cur else trim(list(poly)))
 
     def add(self, level: int, poly: list[int]):
-        if level <= 0:
-            extra = poly
-            for _ in range(-level):
-                extra = mul(extra, self.f, self.m)
-            self.level0 = add(self.level0, extra, self.m)
-        else:
-            cur = self.levels.get(level)
-            self.levels[level] = add(cur, poly, self.m) if cur else trim(list(poly))
-
-    def _bump(self, v: int):
-        """Divide the global scale by p^v: multiply all stored data by p^v."""
-        if v == 0:
-            return
-        c = self.p**v
-        m = self.m
-        for lvl, poly in self.levels.items():
-            self.levels[lvl] = scale(poly, c, m)
-        self.level0 = scale(self.level0, c, m)
-        for w, poly in self.corrections.items():
-            self.corrections[w] = scale(poly, c, m)
-        self.e += v
+        for _ in range(-level):
+            poly = mul(poly, self.f, self.m)
+        self._accumulate(self.levels, max(level, 0), poly)
 
     def sweep(self):
         """Reduce all pole levels and the level-0 degree to the basis."""
         p, m = self.p, self.m
         two_g = 2 * self.g
-        while self.levels:
-            s = max(self.levels)
-            b_in = self.levels.pop(s)
+        while (s := max(self.levels, default=0)) > 0:
+            b_in = self._current(self.levels.pop(s))
             if not b_in:
                 continue
             d = 1 - 2 * s
@@ -121,26 +139,28 @@ class _ReductionState:
             if rem:
                 raise PrecisionExhausted("pole reduction lost exactness (internal)")
             db = trim([i * b[i] % m for i in range(1, len(b))])
-            self._bump(v)
+            self.e += v
             u_inv = pow(d // p**v, -1, m)
-            # after the bump, dividing by d means multiplying the pieces
-            # built from the pre-bump data by the inverse of its unit part
+            # at the raised exponent, dividing by d means multiplying the
+            # pieces built from b_in by the inverse of its unit part
             carry = add(scale(a, p**v, m), scale(db, -2 * u_inv % m, m), m)
             corr = scale(b, u_inv, m)
             if corr:
-                cur = self.corrections.get(1 - 2 * s)
-                self.corrections[1 - 2 * s] = add(cur, corr, m) if cur else corr
+                self._accumulate(self.corrections, d, corr)
             self.add(s - 1, carry)
         # level 0: lower the polynomial degree below 2g via d(x^(j-2g) y)
-        while len(self.level0) - 1 >= two_g:
-            j = len(self.level0) - 1
-            c = self.level0[j]
+        level0 = self._current(self.levels.pop(0, (self.e, [])))
+        while len(level0) - 1 >= two_g:
+            j = len(level0) - 1
+            c = level0[j]
             if c == 0:
-                self.level0.pop()
+                level0.pop()
                 continue
             d = 2 * j - two_g + 1
             v = int_valuation(d, p)
-            self._bump(v)
+            if v:
+                level0 = scale(level0, p**v, m)
+                self.e += v
             u_inv = pow(d // p**v, -1, m)
             piece = c * u_inv % m
             dj = [0] * (j + 1)
@@ -149,28 +169,27 @@ class _ReductionState:
                     dj[j - two_g - 1 + k] = (dj[j - two_g - 1 + k] + 2 * (j - two_g) * self.f[k]) % m
             for k in range(1, len(self.f)):
                 dj[j - two_g + k - 1] = (dj[j - two_g + k - 1] + k * self.f[k]) % m
-            self.level0 = add(self.level0, scale(dj, -piece % m, m), m)
-            if len(self.level0) - 1 >= j and self.level0 and self.level0[-1] != 0:
+            level0 = add(level0, scale(dj, -piece % m, m), m)
+            if len(level0) - 1 >= j and level0 and level0[-1] != 0:
                 raise PrecisionExhausted("degree reduction failed to cancel (internal)")
-            cur = self.corrections.get(1)
-            mono = [0] * (j - two_g) + [piece]
-            self.corrections[1] = add(cur, mono, m) if cur else mono
+            self._accumulate(self.corrections, 1, [0] * (j - two_g) + [piece])
+        self.levels[0] = (self.e, level0)
 
-    def published(self, ring: PadicRing, n_target: int):
-        """Basis coefficients and corrections as PadicScalars at n_target."""
+    def published(self, n_target: int) -> tuple[list[PadicScalar], Correction]:
+        """Basis coefficients as PadicScalars and the flat correction, at n_target."""
         achieved = self.nw - self.e
         if achieved < n_target:
             raise PrecisionExhausted(f"achieved {achieved} < requested {n_target}")
-
-        def scalar(value: int) -> PadicScalar:
-            return PadicScalar.from_int(value % self.m, self.p, self.nw).shift(-self.e).cap(n_target)
-
-        col = [scalar(self.level0[j] if j < len(self.level0) else 0) for j in range(2 * self.g)]
-        corr = {}
-        for w, poly in sorted(self.corrections.items()):
+        level0 = (self._current(self.levels[0]) + [0] * (2 * self.g))[: 2 * self.g]
+        col = [PadicScalar.from_int(c, self.p, self.nw).shift(-self.e).cap(n_target) for c in level0]
+        top = self.p ** (n_target + self.e)
+        ws, rows = [], []
+        for w, entry in sorted(self.corrections.items()):
+            poly = self._current(entry)
             if poly:
-                corr[w] = PadicPoly([scalar(c) for c in poly], self.p)
-        return col, corr
+                ws.append(w)
+                rows.append([c % top for c in poly])
+        return col, Correction(self.p, ws, rows, self.e, n_target)
 
 
 def _residues(values, m: int) -> list[int]:
@@ -263,7 +282,6 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
 
     matrix = [[None] * (2 * g) for _ in range(2 * g)]
     corrections = []
-    ring = PadicRing(p, n_target)
     half_shift = (p - 1) // 2
     for i in range(2 * g):
         mono = [0] * (p * i + p - 1) + [1]
@@ -272,7 +290,7 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
         for lvl, poly in _level_product(acc, digits, f, m, half_shift).items():
             state.add(lvl, poly)
         state.sweep()
-        col, corr = state.published(ring, n_target)
+        col, corr = state.published(n_target)
         for j in range(2 * g):
             matrix[j][i] = col[j]
         corrections.append(corr)
@@ -368,10 +386,10 @@ def reduce_odd_differential(
     ring: PadicRing,
     numerator: list,
     pole_level: int,
-) -> tuple[list[PadicScalar], dict[int, PadicPoly]]:
+) -> tuple[list[PadicScalar], Correction]:
     """Reduce numerator(x) * y^(-2*pole_level) dx/(2y) to the basis.
 
-    Returns (basis coefficients, correction dict); applying it to a basis
+    Returns (basis coefficients, correction); applying it to a basis
     differential itself (pole_level 0, degree < 2g) is the identity.
     """
     p = ring.p
@@ -379,7 +397,7 @@ def reduce_odd_differential(
     state = _ReductionState(*_reduction_data(curve, p, nw), p, nw, curve.genus)
     state.add(pole_level, trim(_residues(numerator, p**nw)))
     state.sweep()
-    return state.published(ring, ring.prec)
+    return state.published(ring.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +483,32 @@ def jacobian_order_fp(fa: FrobeniusAction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_correction(correction: dict[int, PadicPoly], point: Point) -> PadicScalar:
-    """Value of sum_w q_w(x) y^w at a Z_p point; poles need y a unit."""
+def evaluate_correction(correction: Correction, point: Point) -> PadicScalar:
+    """Value of a correction at a Z_p point; poles need y a unit.
+
+    One integer Horner modulo p^(prec + e): in x inside each row, in y^2
+    across the rows.  Over the lifts of x and y, known to absolute
+    precisions Nx and Ny, a coefficient c moves the value by
+    O(p^(v(c) + min(Nx, Ny))), so the value is known to
+    min(prec, val + min(Nx, Ny)).
+    """
     if point.at_infinity:
         raise PoleAtPoint("corrections are not defined at infinity")
     x, y = point.x, point.y
-    has_pole = any(w < 0 for w in correction)
-    if has_pole and (y.is_zero or y.val > 0):
+    if x.val < 0 or y.val < 0:
+        raise PoleAtPoint("corrections are evaluated at Z_p points only")
+    c = correction
+    if c.ws and c.ws[0] < 0 and (y.is_zero or y.val > 0):
         raise PoleAtPoint("negative y-powers evaluated at a point with v(y) > 0")
-    if not correction:
-        return PadicScalar.zero(x.p, x.prec)
-    acc = None
-    for w, poly in correction.items():
-        term = poly.evaluate(x) * y**w
-        acc = term if acc is None else acc + term
-    return acc
+    prec = min(c.prec, c.val + min(x.prec, y.prec))
+    if not c.ws:
+        return PadicScalar.zero(x.p, prec)
+    m = x.p ** (prec + c.e)
+    xl, yl = x.lift(), y.lift()
+    y2 = yl * yl % m
+    acc, above = 0, c.ws[-1]
+    for w, row in zip(reversed(c.ws), reversed(c.rows)):
+        acc = (acc * pow(y2, (above - w) // 2, m) + evaluate(row, xl, m)) % m
+        above = w
+    acc = acc * pow(yl, c.ws[0], m) % m
+    return PadicScalar.from_int(acc, x.p, prec + c.e).shift(-c.e)

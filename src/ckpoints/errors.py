@@ -46,7 +46,7 @@ class WeierstrassDisc(CkError):
 
 
 class PoleAtPoint(CkError):
-    """A correction function with negative y-powers was evaluated at y = 0."""
+    """A correction was evaluated at a pole: y = 0 under a negative y-power, or off Z_p."""
 
 
 class SingularSystem(CkError):
@@ -63,6 +63,10 @@ class RoundingAmbiguous(CkError):
 
 class NotTorsionConsistent(CkError):
     """A reduced divisor class order does not divide the group order (bug)."""
+
+
+class LatticeReductionStalled(CkError):
+    """LLL reduction did not finish within its round limit."""
 
 
 class NonTorsionExtra(CkError):

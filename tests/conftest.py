@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ckpoints.curve import HyperellipticCurve, scale_to_monic
+from ckpoints.padic import PadicPoly, PadicScalar
 
 # y^2 = x^7 - 37024 x^6 + ... - 103079215104; two rational points
 EX1_COEFFS = [
@@ -50,3 +51,12 @@ def ex2():
 def ex3_monic():
     curve, point_map = scale_to_monic(EX3_RAW_COEFFS)
     return curve, point_map
+
+
+def correction_polys(corr):
+    """A flat Correction as {w: PadicPoly}, one PadicScalar per coefficient."""
+    p, top = corr.p, corr.prec + corr.e
+    return {
+        w: PadicPoly([PadicScalar.from_int(r, p, top).shift(-corr.e) for r in row], p)
+        for w, row in zip(corr.ws, corr.rows)
+    }

@@ -19,7 +19,7 @@ from ckpoints.classify import (
 )
 from ckpoints.cohomology import frobenius_action, jacobian_order_fp
 from ckpoints.curve import HyperellipticCurve, Point, enumerate_fp_points, lift_point
-from ckpoints.errors import NotSimpleRoot, NotTorsionConsistent
+from ckpoints.errors import LatticeReductionStalled, NotSimpleRoot, NotTorsionConsistent
 from ckpoints.padic import PadicRing, hensel_sqrt
 
 Z7 = PadicRing(7, 18)
@@ -118,6 +118,16 @@ def test_dependency_y_coordinate_high_precision():
     seed = next(s for s in range(1, 7) if s * s % 7 == res)
     y = hensel_sqrt(val, seed)
     assert algebraic_dependency(y) == [3, 0, 4194304]
+
+
+def test_lll_round_limit_raises(monkeypatch):
+    # the degree-2 lattice of sqrt(2) needs swaps, so one round cannot finish
+    x = hensel_sqrt(Z7(2), 3)
+    monkeypatch.setattr(ckpoints.classify, "_LLL_MAX_ROUNDS", 1)
+    with pytest.raises(LatticeReductionStalled):
+        algebraic_dependency(x)
+    monkeypatch.undo()
+    assert algebraic_dependency(x) == [-2, 0, 1]
 
 
 def test_dependency_degree_one_agrees_with_reconstruction():

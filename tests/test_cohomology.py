@@ -7,11 +7,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import correction_polys
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ckpoints import cohomology
 from ckpoints.cohomology import (
     _binomial_series,
     _fadic_digits,
     _level_product,
+    Correction,
     curve_count_fp,
     evaluate_correction,
     frobenius_action,
@@ -20,15 +25,16 @@ from ckpoints.cohomology import (
     zeta_char_poly,
 )
 from ckpoints.curve import (
+    INFINITY,
     HyperellipticCurve,
     Point,
     enumerate_fp_points,
     lift_point,
     local_chart,
 )
-from ckpoints.errors import BadReduction, PoleAtPoint
-from ckpoints.intpoly import add, divmod_monic, mul
-from ckpoints.padic import PadicPowerSeries, PadicRing
+from ckpoints.errors import BadReduction, PoleAtPoint, PrecisionExhausted
+from ckpoints.intpoly import add, divmod_monic, mul, scale, trim
+from ckpoints.padic import PadicPoly, PadicPowerSeries, PadicRing, PadicScalar, int_valuation
 
 CURVE_X7P1 = HyperellipticCurve([1, 0, 0, 0, 0, 0, 0, 1])
 
@@ -142,7 +148,7 @@ def test_reduce_basis_differential_is_identity():
         for j in range(2 * g):
             expect = ring.one() if j == i else ring.zero()
             assert col[j].congruent(expect, required=10) is True
-        assert not corr
+        assert not corr.ws
 
 
 def test_reduce_exactness_identity_randomized():
@@ -177,7 +183,7 @@ def test_reduce_exactness_identity_randomized():
             term = series.scale(col[j])
             rhs = term if rhs is None else rhs + term
         f_series = None
-        for w, poly in corr.items():
+        for w, poly in correction_polys(corr).items():
             term = xs.compose_poly(poly) * ys**w
             f_series = term if f_series is None else f_series + term
         if f_series is not None:
@@ -383,7 +389,7 @@ def _action_triples(fa):
         "precision": fa.precision,
         "matrix": [[triple(c) for c in row] for row in fa.matrix],
         "corrections": [
-            [[w, [triple(c) for c in poly.coeffs]] for w, poly in sorted(corr.items())]
+            [[w, [triple(c) for c in poly.coeffs]] for w, poly in correction_polys(corr).items()]
             for corr in fa.corrections
         ],
     }
@@ -400,19 +406,250 @@ def test_frobenius_action_matches_golden(ex3_monic):
         assert _action_triples(frobenius_action(curve, p, 2 * p + 4)) == expected
 
 
+# -- the lazy-exponent sweep against the eager one ----------------------------
+
+
+class _EagerReductionState:
+    """The sweep before per-entry exponents: every bump rescans all entries."""
+
+    def __init__(self, fints, dints, sfints, p, nw, genus):
+        self.f = fints
+        self.df = dints
+        self.sf = sfints  # (F')^{-1} mod F
+        self.p = p
+        self.nw = nw
+        self.m = p**nw
+        self.g = genus
+        self.e = 0  # running power-of-p denominator of everything stored
+        self.levels: dict[int, list[int]] = {}
+        self.level0: list[int] = []
+        self.corrections: dict[int, list[int]] = {}
+
+    def add(self, level: int, poly: list[int]):
+        if level <= 0:
+            extra = poly
+            for _ in range(-level):
+                extra = mul(extra, self.f, self.m)
+            self.level0 = add(self.level0, extra, self.m)
+        else:
+            cur = self.levels.get(level)
+            self.levels[level] = add(cur, poly, self.m) if cur else trim(list(poly))
+
+    def _bump(self, v: int):
+        """Divide the global scale by p^v: multiply all stored data by p^v."""
+        if v == 0:
+            return
+        c = self.p**v
+        m = self.m
+        for lvl, poly in self.levels.items():
+            self.levels[lvl] = scale(poly, c, m)
+        self.level0 = scale(self.level0, c, m)
+        for w, poly in self.corrections.items():
+            self.corrections[w] = scale(poly, c, m)
+        self.e += v
+
+    def sweep(self):
+        """Reduce all pole levels and the level-0 degree to the basis."""
+        p, m = self.p, self.m
+        two_g = 2 * self.g
+        while self.levels:
+            s = max(self.levels)
+            b_in = self.levels.pop(s)
+            if not b_in:
+                continue
+            d = 1 - 2 * s
+            v = int_valuation(d, p)
+            b = mul(b_in, self.sf, m)
+            _, b = divmod_monic(b, self.f, m)
+            num = add(b_in, scale(mul(b, self.df, m), -1, m), m)
+            a, rem = divmod_monic(num, self.f, m)
+            if rem:
+                raise PrecisionExhausted("pole reduction lost exactness (internal)")
+            db = trim([i * b[i] % m for i in range(1, len(b))])
+            self._bump(v)
+            u_inv = pow(d // p**v, -1, m)
+            # after the bump, dividing by d means multiplying the pieces
+            # built from the pre-bump data by the inverse of its unit part
+            carry = add(scale(a, p**v, m), scale(db, -2 * u_inv % m, m), m)
+            corr = scale(b, u_inv, m)
+            if corr:
+                cur = self.corrections.get(1 - 2 * s)
+                self.corrections[1 - 2 * s] = add(cur, corr, m) if cur else corr
+            self.add(s - 1, carry)
+        # level 0: lower the polynomial degree below 2g via d(x^(j-2g) y)
+        while len(self.level0) - 1 >= two_g:
+            j = len(self.level0) - 1
+            c = self.level0[j]
+            if c == 0:
+                self.level0.pop()
+                continue
+            d = 2 * j - two_g + 1
+            v = int_valuation(d, p)
+            self._bump(v)
+            u_inv = pow(d // p**v, -1, m)
+            piece = c * u_inv % m
+            dj = [0] * (j + 1)
+            if j > two_g:
+                for k in range(len(self.f)):
+                    dj[j - two_g - 1 + k] = (dj[j - two_g - 1 + k] + 2 * (j - two_g) * self.f[k]) % m
+            for k in range(1, len(self.f)):
+                dj[j - two_g + k - 1] = (dj[j - two_g + k - 1] + k * self.f[k]) % m
+            self.level0 = add(self.level0, scale(dj, -piece % m, m), m)
+            if len(self.level0) - 1 >= j and self.level0 and self.level0[-1] != 0:
+                raise PrecisionExhausted("degree reduction failed to cancel (internal)")
+            cur = self.corrections.get(1)
+            mono = [0] * (j - two_g) + [piece]
+            self.corrections[1] = add(cur, mono, m) if cur else mono
+
+    def published(self, n_target: int):
+        """Basis coefficients and corrections as PadicScalars at n_target."""
+        achieved = self.nw - self.e
+        if achieved < n_target:
+            raise PrecisionExhausted(f"achieved {achieved} < requested {n_target}")
+
+        def scalar(value: int) -> PadicScalar:
+            return PadicScalar.from_int(value % self.m, self.p, self.nw).shift(-self.e).cap(n_target)
+
+        col = [scalar(self.level0[j] if j < len(self.level0) else 0) for j in range(2 * self.g)]
+        corr = {}
+        for w, poly in sorted(self.corrections.items()):
+            if poly:
+                corr[w] = PadicPoly([scalar(c) for c in poly], self.p)
+        return col, corr
+
+
+def _published_triples(col, corr):
+    """(val, unit, prec) of a column and its correction, flat or {w: PadicPoly}."""
+    polys = corr if isinstance(corr, dict) else correction_polys(corr)
+
+    def triple(c):
+        return (c.val, c.unit, c.prec)
+
+    return [triple(c) for c in col], [(w, [triple(c) for c in poly.coeffs]) for w, poly in sorted(polys.items())]
+
+
+class _TwinSweep:
+    """One sweep input fed to the lazy and the eager state; publishing compares them."""
+
+    published_columns = 0
+
+    def __init__(self, *args):
+        self.lazy = _LAZY_STATE(*args)
+        self.eager = _EagerReductionState(*args)
+
+    def add(self, level, poly):
+        self.lazy.add(level, list(poly))
+        self.eager.add(level, list(poly))
+
+    def sweep(self):
+        self.lazy.sweep()
+        self.eager.sweep()
+
+    def published(self, n_target):
+        assert self.lazy.e == self.eager.e
+        got = self.lazy.published(n_target)
+        assert _published_triples(*got) == _published_triples(*self.eager.published(n_target))
+        _TwinSweep.published_columns += 1
+        return got
+
+
+_LAZY_STATE = cohomology._ReductionState
+
+
+@pytest.fixture
+def twin_sweep(monkeypatch):
+    monkeypatch.setattr(cohomology, "_ReductionState", _TwinSweep)
+    _TwinSweep.published_columns = 0
+    return _TwinSweep
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_lazy_sweep_matches_eager_bumps(twin_sweep, ex1, ex2, ex3_monic, p):
+    for curve in (ex1, ex2, ex3_monic[0]):
+        frobenius_action(curve, p, 2 * p + 4)
+    assert twin_sweep.published_columns == 3 * 6
+
+
+@pytest.mark.parametrize("p, levels", [(7, (4, 11, 25)), (11, (6, 17, 61)), (13, (7, 20, 85))])
+def test_lazy_sweep_matches_eager_bumps_at_divisible_pole_levels(twin_sweep, ex1, p, levels):
+    # p divides 2s - 1 at every start level s, and at every p-th level below
+    rng = random.Random(p)
+    ring = PadicRing(p, 12)
+    for s in levels:
+        assert (2 * s - 1) % p == 0
+        numer = [rng.randrange(1, p) + p * rng.randrange(p**3) for _ in range(rng.randrange(1, 9))]
+        assert reduce_odd_differential(ex1, ring, numer, s)[1].ws
+    assert twin_sweep.published_columns == len(levels)
+
+
 # -- corrections ---------------------------------------------------------------
 
 
 def test_evaluate_correction_zero_and_poly(ex1):
     ring = PadicRing(7, 12)
-    assert evaluate_correction({}, Point(ring(3), ring(1))).is_zero
-    poly_only = {1: ring.poly([0, 1])}  # f = x * y
+    assert evaluate_correction(Correction(7, [], [], 0, 12), Point(ring(3), ring(1))).is_zero
+    poly_only = Correction(7, [1], [[0, 1]], 0, 12)  # f = x * y
     pt = Point(ring(32), ring.zero())
     val = evaluate_correction(poly_only, pt)
     assert val.is_zero  # x*y with y = 0
-    pole = {-1: ring.poly([1])}
+    pole = Correction(7, [-1], [[1]], 0, 12)
     with pytest.raises(PoleAtPoint):
         evaluate_correction(pole, pt)
+    for at in (INFINITY, Point(ring(3), ring(7)), Point(ring(3), ring(49 * 5))):
+        with pytest.raises(PoleAtPoint):
+            evaluate_correction(pole, at)
+    with pytest.raises(PoleAtPoint):
+        evaluate_correction(poly_only, INFINITY)
+    half, expect = evaluate_correction(pole, Point(ring(3), ring(2))), ring(Fraction(1, 2))
+    assert (half.val, half.unit, half.prec) == (expect.val, expect.unit, expect.prec)
+
+
+def _fraction_val(q: Fraction, p: int) -> float:
+    if q == 0:
+        return math.inf
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 11]), e=st.integers(0, 5), prec=st.integers(1, 12))
+def test_flat_evaluation_claims_only_known_digits(data, p, e, prec):
+    """Every claimed digit agrees with exact evaluation at two random lifts.
+
+    The lifts are of x, of y and of every coefficient residue.
+    """
+    top = p ** (prec + e)
+    ws = sorted(data.draw(st.sets(st.sampled_from(range(-9, 10, 2)), max_size=4)))
+    rows = [
+        [p ** data.draw(st.integers(0, prec + e)) * data.draw(st.integers(0, top)) % top
+         for _ in range(data.draw(st.integers(0, 5)))]
+        for _ in ws
+    ]
+    corr = Correction(p, ws, rows, e, prec)
+    nonzero = [int_valuation(r, p) - e for row in rows for r in row if r]
+    assert corr.val == min(nonzero, default=prec)
+
+    def scalar(max_val):
+        n = data.draw(st.integers(0, 14))
+        v = data.draw(st.integers(0, max_val))
+        unit = data.draw(st.integers(1, p**4)) * p + data.draw(st.integers(1, p - 1))
+        return PadicScalar.from_int(p**v * unit, p, max(n, v))
+
+    x = scalar(4)
+    y = scalar(0 if ws and ws[0] < 0 else 4)
+    assume(not (ws and ws[0] < 0 and y.is_zero))
+    got = evaluate_correction(corr, Point(x, y))
+    assert got.prec == min(prec, corr.val + min(x.prec, y.prec))
+    value = Fraction(got.unit) * Fraction(p) ** got.val
+    for _ in range(2):
+        def lift(s):
+            return s.lift() + p**s.prec * data.draw(st.integers(-(p**3), p**3))
+        xl, yl = lift(x), lift(y)
+        exact = sum(
+            Fraction(r + top * data.draw(st.integers(-p, p)), p**e) * Fraction(xl) ** k * Fraction(yl) ** w
+            for w, row in zip(ws, rows)
+            for k, r in enumerate(row)
+        )
+        assert _fraction_val(exact - value, p) >= got.prec
 
 
 def test_frobenius_exactness_in_chart(ex1):
@@ -458,7 +695,7 @@ def test_frobenius_exactness_in_chart(ex1):
             term = pulls[j][1].scale(fa.matrix[j][i])
             rhs = term if rhs is None else rhs + term
         f_series = None
-        for w, poly in fa.corrections[i].items():
+        for w, poly in correction_polys(fa.corrections[i]).items():
             term = xs.compose_poly(poly) * (ys**w if w >= 0 else ys.inverse() ** (-w))
             f_series = term if f_series is None else f_series + term
         if f_series is not None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS
+from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS, correction_polys
 
 from ckpoints.cohomology import evaluate_correction, frobenius_action
 from ckpoints.coleman import (
@@ -415,7 +415,7 @@ def test_precision_audit_against_higher_precision(ex1, fa1):
 def test_corrections_are_odd_in_y(name):
     """f_i(iota T) = -f_i(T) exactly: the integral from infinity needs one T."""
     curve, fa = _monic_fixture(name), _frobenius(name, P7)
-    assert all(w % 2 == 1 for corr in fa.corrections for w in corr)
+    assert all(w % 2 == 1 for corr in fa.corrections for w in corr.ws)
     ring = PadicRing(P7, fa.precision)
     teichs = [
         teichmuller_point(lift_point(pbar, curve, ring), curve, ring)
@@ -428,3 +428,31 @@ def test_corrections_are_odd_in_y(name):
             a = evaluate_correction(corr, involution(t))
             b = -evaluate_correction(corr, t)
             assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec)
+
+
+def _scalar_horner(corr, point):
+    """The PadicScalar Horner that evaluated corrections before they went flat."""
+    x, y = point.x, point.y
+    acc = None
+    for w, poly in correction_polys(corr).items():
+        term = poly.evaluate(x) * y**w
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3_monic"])
+def test_flat_corrections_match_scalar_horner_at_teichmueller_points(name, p):
+    curve, fa = _monic_fixture(name), _frobenius(name, p)
+    ring = PadicRing(p, fa.precision)
+    checked = 0
+    for pbar in enumerate_fp_points(curve, p):
+        if pbar.at_infinity or pbar.y == 0:
+            continue
+        t = teichmuller_point(lift_point(pbar, curve, ring), curve, ring)
+        for pt in (t, involution(t)):
+            for corr in fa.corrections:
+                a, b = evaluate_correction(corr, pt), _scalar_horner(corr, pt)
+                assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec)
+                checked += 1
+    assert checked > 0

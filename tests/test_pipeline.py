@@ -27,6 +27,7 @@ FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "examples_h1000.json"
 GOLDEN_P11 = GOLDEN.with_name("examples_p11_h100.json")
 GOLDEN_POINTS = GOLDEN.with_name("search_points_h10000.txt")
+GOLDEN_FROBENIUS = GOLDEN.with_name("frobenius_cli.txt")
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +310,37 @@ def test_cli_integrate_and_frobenius_take_only_odd_primes(capsys, command, prime
         argv += ["--from", "inf", "--to", "-1/2,0"]
     assert cli.main(argv) == 1
     assert "--prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["integrate", "frobenius"])
+@pytest.mark.parametrize("precision", ["-3", "0", "2"])
+def test_cli_integrate_and_frobenius_reject_bad_precision(capsys, command, precision):
+    argv = [command, "--curve", "[1,4,6,4,-7,-16,0,8]", "--prime", "7", "--precision", precision]
+    if command == "integrate":
+        argv += ["--from", "inf", "--to=0,1"]
+    assert cli.main(argv) == 1
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_cli_integrate_and_frobenius_run_at_precision_7(capsys):
+    curve = ["--curve", "[1,4,6,4,-7,-16,0,8]", "--prime", "7", "--precision", "7"]
+    assert cli.main(["frobenius", *curve]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 7
+    assert cli.main(["integrate", *curve, "--from", "inf", "--to=0,1"]) == 0
+    assert capsys.readouterr().out.endswith("precision achieved: 7\n")
+
+
+def test_cli_frobenius_matches_golden(capsys):
+    # written before the corrections went flat: it pins the key sets and
+    # the row lengths of every correction, trimmed modulo p^Nw
+    out = []
+    for p in ("7", "11"):
+        for line in FIXTURE.read_text().splitlines():
+            if line.startswith("#"):
+                continue
+            assert cli.main(["frobenius", "--curve", line, "--prime", p]) == 0
+            out.append(f"# --prime {p} --curve {line}\n" + capsys.readouterr().out)
+    assert "".join(out) == GOLDEN_FROBENIUS.read_text()
 
 
 def test_cli_run_p11_matches_golden(tmp_path):
