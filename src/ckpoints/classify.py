@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import FrobeniusAction, jacobian_order_fp
-from .curve import HyperellipticCurve, Point, reduce_point
+from .curve import INFINITY, HyperellipticCurve, Point, reduce_point
 from .errors import CkError, LatticeReductionStalled, NotTorsionConsistent
 from .intpoly import add, divmod_monic, evaluate, monic, mul, scale, trim, xgcd
 from .padic import PadicRing, PadicScalar, hensel_simple_root, hensel_sqrt
@@ -393,7 +393,7 @@ def classify_point(
 ) -> ClassifiedPoint:
     """Steps 4-5 of the driver: identify or reconstruct one found point."""
     if point.at_infinity:
-        return ClassifiedPoint(point, "rational", rational=INFTY_RATIONAL)
+        return ClassifiedPoint(point, "rational", rational=INFINITY)
     ring = PadicRing(fa.p, fa.precision)
     rx = rational_reconstruct(point.x)
     ry = rational_reconstruct(point.y)
@@ -415,9 +415,6 @@ def classify_point(
         order=order,
         order_p_ambiguous=torsion_p_ambiguous(fa),
     )
-
-
-INFTY_RATIONAL = Point(at_infinity=True)
 
 
 def _matches(point: Point, exact: Point, ring: PadicRing) -> bool:

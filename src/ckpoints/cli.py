@@ -112,6 +112,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_point_values(argv: list[str]) -> list[str]:
+    """Write "--from X" and "--to X" as "--from=X" and "--to=X".
+
+    argparse reads a separate value with a leading minus sign, such as the
+    point -1/2,0, as an option; glued to its option it is a value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--from", "--to"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_point(text: str) -> Point:
     text = text.strip()
     if text in ("inf", "infinity", "oo"):
@@ -145,8 +160,7 @@ def _cmd_search_points(args) -> int:
     curve, pmap = scale_to_monic(parse_curve_line(args.curve))
     points = search_rational_points(curve, args.height_bound)
     for q in points:
-        back = pmap.backward(q)
-        print("inf" if back.at_infinity else f"({back.x}, {back.y})")
+        print(pmap.backward(q))
     return 0
 
 
@@ -199,7 +213,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("CK_LOG", "WARNING").upper())
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_point_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     handlers = {

@@ -399,12 +399,10 @@ def _solve_weierstrass_x(f: PadicPoly, x0: PadicScalar, ring: PadicRing, order: 
         [ring.zero(), ring.zero(), ring.one()] + [ring.zero()] * (order - 2), order, p
     )
     x = PadicPowerSeries.constant(x0, order)
-    w = PadicPowerSeries.constant(ring.one() / f.derivative().evaluate(x0), order)
-    two = PadicPowerSeries.constant(ring(2), order)
+    df = f.derivative()
     known = 1
     while known <= order:
-        x = x - (x.compose_poly(f) - t2) * w
-        w = w * (two - x.compose_poly(f.derivative()) * w)
+        x = x - (x.compose_poly(f) - t2) * x.compose_poly(df).inverse()
         known *= 2
     # final correctness check at full order
     resid = x.compose_poly(f) - t2

@@ -9,9 +9,10 @@ comparisons against it are three-valued; undecidable comparisons raise
 PrecisionExhausted at decision points instead of silently passing.
 
 On top of the scalars the module provides dense polynomials, truncated power
-series, Hensel lifting (square roots and simple polynomial roots), a
-guaranteed Z_p root finder, formal integration, and small-matrix linear
-algebra with minimum-valuation pivoting.
+series (inverse and square root each one pass of a coefficient recurrence),
+Hensel lifting (square roots and simple polynomial roots), a guaranteed Z_p
+root finder, formal integration, and small-matrix linear algebra with
+minimum-valuation pivoting.
 """
 
 from __future__ import annotations
@@ -129,15 +130,6 @@ class PadicScalar:
         if d.prec >= level:
             return True
         return None
-
-    def must_congruent(self, other, required: int | None = None) -> bool:
-        """Like congruent() but undecidable comparisons raise."""
-        r = self.congruent(other, required)
-        if r is None:
-            raise PrecisionExhausted(
-                f"comparison undecidable at precision {self.prec}/{getattr(other, 'prec', '?')}"
-            )
-        return r
 
     # -- representatives ----------------------------------------------
 
@@ -490,32 +482,33 @@ class PadicPowerSeries:
         return acc.cap((self.order + 1) * t.val + tail_valuation)
 
     def inverse(self) -> "PadicPowerSeries":
-        """Newton inverse; constant term must be a unit."""
-        c0 = self.coeffs[0]
-        if c0.is_zero or c0.val != 0:
+        """Inverse by z_0 = 1/c_0, z_n = -z_0 * sum_{i=1..n} c_i z_{n-i}; c_0 must be a unit."""
+        c = self.coeffs
+        if c[0].is_zero or c[0].val != 0:
             raise PrecisionExhausted("series inverse requires a unit constant term")
-        one = PadicScalar.one(self.p, c0.prec)
-        inv0 = one / c0
-        z = PadicPowerSeries.constant(inv0, self.order)
-        known = 1
-        two = PadicScalar.from_int(2, self.p, c0.prec)
-        two_s = PadicPowerSeries.constant(two, self.order)
-        while known <= self.order:
-            z = z * (two_s - self * z)
-            known *= 2
-        return z
+        z = [PadicScalar.one(self.p, c[0].prec) / c[0]]
+        for n in range(1, self.order + 1):
+            acc = sum((c[i] * z[n - i] for i in range(2, n + 1)), c[1] * z[n - 1])
+            z.append(-(z[0] * acc))
+        return PadicPowerSeries(z, self.order, self.p)
 
     def sqrt(self, seed: PadicScalar) -> "PadicPowerSeries":
-        """Square root with given constant term; seed^2 must equal a_0."""
+        """The square root whose constant term is congruent to seed mod p.
+
+        The seed only picks the branch: y_0 = hensel_sqrt(a_0, seed mod p)
+        holds a_0's full precision, and y_n = (a_n - sum_{i=1..n-1} y_i
+        y_{n-i}) / (2 y_0).  A seed that is not a unit raises
+        PrecisionExhausted, an a_0 that is not a unit ValueError, and
+        seed^2 != a_0 (mod p) NotASquare.
+        """
         if seed.is_zero or seed.val != 0:
             raise PrecisionExhausted("series sqrt requires a unit constant term")
-        half = PadicScalar.from_fraction(Fraction(1, 2), self.p, seed.prec)
-        y = PadicPowerSeries.constant(seed, self.order)
-        known = 1
-        while known <= self.order:
-            y = (y + self * y.inverse()).scale(half)  # Newton: y <- (y + u/y)/2
-            known *= 2
-        return y
+        a = self.coeffs
+        y = [hensel_sqrt(a[0], seed.unit)]
+        two_y0 = y[0].mul_int(2)
+        for n in range(1, self.order + 1):
+            y.append(sum((-(y[i] * y[n - i]) for i in range(1, n)), a[n]) / two_y0)
+        return PadicPowerSeries(y, self.order, self.p)
 
     def compose_poly(self, poly: PadicPoly) -> "PadicPowerSeries":
         """Evaluate the polynomial at this series (Horner)."""

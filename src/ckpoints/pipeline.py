@@ -86,12 +86,6 @@ def ingest(path: str) -> list[tuple[int, list[Fraction]]]:
     return out
 
 
-def _fmt_point(point: Point) -> str:
-    if point.at_infinity:
-        return "inf"
-    return f"({point.x}, {point.y})"
-
-
 def _fmt_extra(c) -> dict:
     return {
         "x_padic": str(c.point.x),
@@ -142,23 +136,22 @@ def process_curve(args) -> CurveRecord:
             if not q.at_infinity and Fraction(q.y) ** 2 != sum(
                 Fraction(coeffs[j]) * Fraction(q.x) ** j for j in range(len(coeffs))
             ):
-                raise CkError(f"back-mapped point {_fmt_point(q)} is not on the input model")
-        rec.rational_points = [_fmt_point(q) for q in monic_points]
-        rec.rational_points_input_model = [_fmt_point(q) for q in back_points]
+                raise CkError(f"back-mapped point {q} is not on the input model")
+        rec.rational_points = [str(q) for q in monic_points]
+        rec.rational_points_input_model = [str(q) for q in back_points]
         rec.heights = [round(global_height(q), 13) for q in back_points]
         rec.max_height = max(rec.heights) if rec.heights else 0.0
         rec.stoll_sharp = len(monic_points) == out.fp_count
         rec.two_torsion_extras = [_fmt_extra(c) for c in out.two_torsion_extras]
         rec.higher_torsion_extras = [_fmt_extra(c) for c in out.higher_torsion_extras]
         for log in out.disc_logs:
-            label = _fmt_point(log.disc)
+            label = str(log.disc)
             if log.mirrored:
-                mirrored = Point(log.disc.x, (-log.disc.y) % out.prime)
-                label = f"{label}/{_fmt_point(mirrored)}"
+                label += f"/{Point(log.disc.x, (-log.disc.y) % out.prime)}"
             rec.disc_table.append(
                 {
                     "disc": label,
-                    "common_zeros": [_fmt_point(q) for q in log.points]
+                    "common_zeros": [str(q) for q in log.points]
                     if log.points
                     else "no common roots",
                 }

@@ -1,13 +1,16 @@
 """Tests for curve models, reduction, charts, and rational point search."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ckpoints.chabauty import precisions
 from ckpoints.curve import (
     INFINITY,
     HyperellipticCurve,
@@ -241,6 +244,62 @@ def test_chart_param_and_point_roundtrip(ex1):
     assert t_back.congruent(t) is True
 
 
+GOLDEN_CHARTS = Path(__file__).parent / "golden" / "charts.json"
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
+
+
+def fixture_charts(p):
+    """Every F_p point's chart on the three fixtures, as [val, unit, prec] rows.
+
+    `PYTHONPATH=src python tests/test_curve.py > tests/golden/charts.json`
+    writes the golden.
+    """
+    n, order = precisions(p)
+    ring = PadicRing(p, n)
+
+    def triples(series):
+        return [[c.val, c.unit, c.prec] for c in series.coeffs]
+
+    out = []
+    for line in FIXTURE.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        curve, _ = scale_to_monic(parse_curve_line(line))
+        for pbar in enumerate_fp_points(curve, p):
+            chart = local_chart(lift_point(pbar, curve, ring), curve, ring, order)
+            out.append({
+                "curve": line, "p": p, "point": repr(pbar), "kind": chart.kind,
+                "x": triples(chart.x_series), "y": triples(chart.y_series),
+                "omega": [[shift, triples(s)] for shift, s in chart.omega_pullbacks()],
+            })
+    return out
+
+
+def _claims_no_more(got, want):
+    # a nonzero coefficient is pinned; a zero to precision stays zero and
+    # may claim fewer digits than the golden
+    if want[1] != 0:
+        return got == want
+    return got[1] == 0 and got[2] <= want[2]
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_fixture_charts_match_golden(p):
+    golden = [c for c in json.loads(GOLDEN_CHARTS.read_text()) if c["p"] == p]
+    got = fixture_charts(p)
+    assert [(c["curve"], c["point"], c["kind"]) for c in got] == [
+        (c["curve"], c["point"], c["kind"]) for c in golden
+    ]
+    for have, want in zip(got, golden):
+        rows = [(have["x"], want["x"]), (have["y"], want["y"])]
+        assert [s for s, _ in have["omega"]] == [s for s, _ in want["omega"]]
+        rows += [(a[1], b[1]) for a, b in zip(have["omega"], want["omega"])]
+        for a, b in rows:
+            assert len(a) == len(b)
+            bad = [(i, x, y) for i, (x, y) in enumerate(zip(a, b)) if not _claims_no_more(x, y)]
+            assert not bad, (have["curve"], have["point"], bad[:3])
+
+
 def test_search_rational_points_example1(ex1):
     pts = search_rational_points(ex1, 1000)
     assert pts == [INFINITY, Point(Fraction(32), Fraction(0))]
@@ -429,3 +488,8 @@ def test_good_reduction_prime_skips_7_and_11():
     c = HyperellipticCurve([77, 0, 0, 0, 0, 0, 0, 1])
     assert c.disc % 7 == 0 and c.disc % 11 == 0 and c.disc % 13 != 0
     assert good_reduction_prime(c, 7) == 13
+
+
+if __name__ == "__main__":
+    charts = fixture_charts(7) + fixture_charts(11)
+    print("[\n" + ",\n".join(json.dumps(c, separators=(",", ":")) for c in charts) + "\n]")

@@ -28,6 +28,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "examples_h1000.json"
 GOLDEN_P11 = GOLDEN.with_name("examples_p11_h100.json")
 GOLDEN_POINTS = GOLDEN.with_name("search_points_h10000.txt")
 GOLDEN_FROBENIUS = GOLDEN.with_name("frobenius_cli.txt")
+GOLDEN_INTEGRATE = GOLDEN.with_name("integrate_cli.txt")
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +308,7 @@ def test_cli_run_rejects_bad_prime(tmp_path, capsys, prime):
 def test_cli_integrate_and_frobenius_take_only_odd_primes(capsys, command, prime):
     argv = [command, "--curve", "[1,4,6,4,-7,-16,0,8]", "--prime", prime]
     if command == "integrate":
-        argv += ["--from", "inf", "--to", "-1/2,0"]
+        argv += ["--from", "inf", "--to", "0,1"]
     assert cli.main(argv) == 1
     assert "--prime" in capsys.readouterr().err
 
@@ -328,6 +329,33 @@ def test_cli_integrate_and_frobenius_run_at_precision_7(capsys):
     assert json.loads(capsys.readouterr().out)["precision"] == 7
     assert cli.main(["integrate", *curve, "--from", "inf", "--to=0,1"]) == 0
     assert capsys.readouterr().out.endswith("precision achieved: 7\n")
+
+
+def test_cli_integrate_takes_points_with_a_negative_x(capsys):
+    argv = ["integrate", "--curve", "[1,4,6,4,-7,-16,0,8]", "--prime", "7"]
+    assert cli.main(argv + ["--from", "-1,0", "--to", "-1/2,0"]) == 0
+    assert capsys.readouterr().out.endswith("precision achieved: 18\n")
+
+
+EX1_LINE = "[-103079215104,59055800320,-13656653824,1613758464,-101220352,3134464,-37024,1]"
+EX3_LINE = "[1,4,6,4,-7,-16,0,8]"
+INTEGRATE_PAIRS = [
+    (EX1_LINE, "inf", "32,0"),
+    (EX3_LINE, "0,1", "1,0"),
+    (EX3_LINE, "0,1", "0,-1"),
+    (EX3_LINE, "-1,0", "0,1"),
+    (EX3_LINE, "-1/2,0", "inf"),
+]
+
+
+def test_cli_integrate_matches_golden(capsys):
+    out = []
+    for p in ("7", "11"):
+        for curve, start, end in INTEGRATE_PAIRS:
+            argv = ["integrate", "--curve", curve, "--prime", p, f"--from={start}", f"--to={end}"]
+            assert cli.main(argv) == 0
+            out.append(f"# --prime {p} --curve {curve} --from {start} --to {end}\n" + capsys.readouterr().out)
+    assert "".join(out) == GOLDEN_INTEGRATE.read_text()
 
 
 def test_cli_frobenius_matches_golden(capsys):
