@@ -5,12 +5,15 @@ on every rational point, so the rational points are among the common zeros
 of three power series per residue disc.  Discs are processed up to the
 hyperelliptic involution: each disc gets a local expansion of the three
 functionals about its Hensel-lifted center (a formal antiderivative plus the
-Coleman integral from infinity to the center as offset), a simple-root
-certificate through a truncated discriminant, Z_p root extraction after the
-rescaling t = p*s, and a vanishing check of the other two series at every
-root.  If no series in some disc has certified simple roots, the whole run
-restarts at the next prime of good reduction.  Known rational points do
-not enter the search; they only cross-check its output.
+Coleman integral from infinity to the center as offset), a Strassmann bound
+for each series after the rescaling t = p*s (read off the coefficient
+valuations), Z_p root extraction from the series of least bound, and a
+vanishing check of the other two series at every root.  A bound of 0 proves
+the disc empty without root finding.  If no series in some disc gives
+separable roots, the whole run restarts at the next prime of good
+reduction.  Coleman's bound #C(F_p) + 2g - 2 on the number of common zeros
+cross-checks the result.  Known rational points do not enter the search;
+they only cross-check its output.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .curve import (
     lift_point,
     local_chart,
 )
-from .errors import AllSeriesDegenerate, NonTorsionExtra, PrecisionExhausted
+from .errors import AllSeriesDegenerate, NonTorsionExtra, PrecisionExhausted, ZeroBoundExceeded
 from .padic import (
     PadicPoly,
     PadicPowerSeries,
@@ -41,7 +44,7 @@ from .padic import (
     formal_integrate,
     ilog,
     padic_poly_roots,
-    truncated_discriminant,
+    truncated_discriminant,  # not called here; perfbench/spans.py wraps this name
 )
 
 
@@ -141,29 +144,66 @@ def disc_series(
     return DiscSeries(disc, base, chart, series, offsets)
 
 
+def _strassmann_bound(series: PadicPowerSeries, order: int, p: int) -> int | None:
+    """Strassmann bound of series(p*s) on Z_p, or None if precision cannot fix it.
+
+    The bound is the last index n <= order attaining m = min v(c_n) + n over
+    the coefficients that are nonzero to precision: series(p*s) has at most
+    that many zeros in Z_p, counted with multiplicity.  It is certified only
+    when no zero-to-precision coefficient and no term past the truncation can
+    reach m; the tail has valuation at least (order + 1) - ilog_p(order + 1),
+    the bound DiscSeries.series_value assumes.
+    """
+    coeffs = series.coeffs[: order + 1]
+    known = [(c.val + n, n) for n, c in enumerate(coeffs) if not c.is_zero]
+    if not known:
+        return None
+    m = min(known)[0]
+    if (order + 1) - ilog(p, order + 1) <= m:
+        return None
+    if any(c.is_zero and c.prec + n <= m for n, c in enumerate(coeffs)):
+        return None
+    return max(n for w, n in known if w == m)
+
+
 def common_zeros(ds: DiscSeries) -> tuple[list[Point], int]:
     """Points of the disc where all three series vanish, plus the series used.
 
-    One series must have a squarefree truncation (nonvanishing truncated
-    discriminant); its Z_p roots (after t = p*s) are checked against the
-    other two at the precision floor N - 3.  Each point's coordinates carry
+    Each series gets its Strassmann bound after t = p*s, and the series are
+    tried by (bound, index).  A least bound of 0 proves that the disc holds
+    no common zero.  Otherwise the Z_p roots of the truncation are found,
+    at most the bound many; a root cluster that cannot be separated at the
+    working precision moves on to the next series, and AllSeriesDegenerate
+    is raised when none is left.  The roots are checked against the other
+    two series at the precision floor N - 3.  Each point's coordinates carry
     only the digits that the truncated series determines.
     """
     ring = ds.chart.ring
     p = ring.p
     order = min(s.order for s in ds.series)
     floor = ring.prec - 3
-    chosen = None
-    for i, f_i in enumerate(ds.series):
-        disc_val = truncated_discriminant(f_i.truncate(order), order)
-        if not disc_val.is_zero:
-            chosen = i
-            break
-    if chosen is None:
-        raise AllSeriesDegenerate(f"all series have multiple roots on disc {ds.disc}")
-    # rescale t = p*s so the roots of interest are the Z_p roots
-    rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
-    roots = padic_poly_roots(PadicPoly(rescaled, p))
+    ranked = sorted(
+        (b, i)
+        for i, f_i in enumerate(ds.series)
+        if (b := _strassmann_bound(f_i, order, p)) is not None
+    )
+    if ranked and ranked[0][0] == 0:
+        return [], ranked[0][1]
+    for bound, chosen in ranked:
+        # rescale t = p*s so the roots of interest are the Z_p roots
+        rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
+        try:
+            roots = padic_poly_roots(PadicPoly(rescaled, p))
+        except PrecisionExhausted:
+            continue
+        break
+    else:
+        raise AllSeriesDegenerate(f"no series has separable roots on disc {ds.disc}")
+    if len(roots) > bound:
+        raise ZeroBoundExceeded(
+            f"{len(roots)} roots of series {chosen} on disc {ds.disc} exceed "
+            f"its Strassmann bound {bound}"
+        )
     slope_series = ds.series[chosen].derivative()
     points = []
     for s_root in roots:
@@ -204,10 +244,11 @@ def run_chabauty(
     Requires a validated monic odd-degree genus-3 model whose Jacobian has
     Mordell-Weil rank 0 (the rank is a trusted input).  The search itself
     never uses known rational points: they only cross-check the output,
-    and one missing from it raises NonTorsionExtra.  When every series in
-    some disc has multiple roots the run escalates to the next prime of
-    good reduction, up to prime_cap; a starting prime of bad reduction
-    counts as one escalation.
+    and one missing from it raises NonTorsionExtra.  When no series in some
+    disc has separable roots the run escalates to the next prime of good
+    reduction, up to prime_cap; a starting prime of bad reduction counts as
+    one escalation.  More common zeros than Coleman's bound allows raise
+    ZeroBoundExceeded.
     """
     if curve.genus != 3:
         raise ValueError("the driver is specific to genus 3")
@@ -261,6 +302,14 @@ def _run_at_prime(curve, p, precision, escalations, fa_cache) -> ChabautyOutput:
         disc_logs.append(DiscLog(disc, mirrored, list(local), chosen))
         for z in local:
             _append_unique(found, z, floor)
+    fp_count = curve_count_fp(fa)
+    # each common zero is a zero of the first integral from infinity, which
+    # has at most #C(F_p) + 2g - 2 zeros in C(Q_p) when p > 2g (Coleman)
+    coleman_bound = fp_count + 2 * curve.genus - 2
+    if len(found) > coleman_bound:
+        raise ZeroBoundExceeded(
+            f"{len(found)} common zeros at p = {p} exceed Coleman's bound {coleman_bound}"
+        )
 
     rational: list[ClassifiedPoint] = []
     two_torsion: list[ClassifiedPoint] = []
@@ -283,7 +332,7 @@ def _run_at_prime(curve, p, precision, escalations, fa_cache) -> ChabautyOutput:
         t_precision=order,
         escalations=escalations,
         disc_logs=disc_logs,
-        fp_count=curve_count_fp(fa),
+        fp_count=fp_count,
     )
 
 

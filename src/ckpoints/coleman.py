@@ -168,16 +168,6 @@ def teichmuller_point(point: Point, curve: HyperellipticCurve, ring: PadicRing) 
     return Point(xs, hensel_sqrt(f.evaluate(xs), ybar))
 
 
-def frobenius_point(point: Point, curve: HyperellipticCurve, ring: PadicRing) -> Point:
-    """Image of a non-Weierstrass point under the Frobenius lift x -> x^p."""
-    p = ring.p
-    if _in_weierstrass_disc(point, p):
-        raise WeierstrassDisc("the Frobenius lift is not defined on Weierstrass discs")
-    xp = point.x**p
-    f = curve.padic_poly(ring)
-    return Point(xp, hensel_sqrt(f.evaluate(xp), point.y.lift() % p))
-
-
 # ---------------------------------------------------------------------------
 # Coleman integrals
 # ---------------------------------------------------------------------------

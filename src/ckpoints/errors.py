@@ -54,7 +54,11 @@ class SingularSystem(CkError):
 
 
 class AllSeriesDegenerate(CkError):
-    """All three integral series have multiple roots; escalate the prime."""
+    """No integral series has separable roots on a disc; escalate the prime."""
+
+
+class ZeroBoundExceeded(CkError):
+    """More zeros than Strassmann's or Coleman's bound allows (internal bug)."""
 
 
 class RoundingAmbiguous(CkError):

@@ -497,9 +497,8 @@ class PadicPowerSeries:
 
         The seed only picks the branch: y_0 = hensel_sqrt(a_0, seed mod p)
         holds a_0's full precision, and y_n = (a_n - sum_{i=1..n-1} y_i
-        y_{n-i}) / (2 y_0).  A seed that is not a unit raises
-        PrecisionExhausted, an a_0 that is not a unit ValueError, and
-        seed^2 != a_0 (mod p) NotASquare.
+        y_{n-i}) / (2 y_0).  A seed or an a_0 that is not a unit raises
+        PrecisionExhausted, and seed^2 != a_0 (mod p) NotASquare.
         """
         if seed.is_zero or seed.val != 0:
             raise PrecisionExhausted("series sqrt requires a unit constant term")
@@ -555,12 +554,13 @@ def _newton_root(f: list[int], x: int, p: int, n: int) -> int:
 def hensel_sqrt(a: PadicScalar, seed: int) -> PadicScalar:
     """Square root of a unit a in Z_p, pinned by its residue mod p.
 
-    Requires v(a) = 0, seed nonzero mod p, and seed^2 = a (mod p); the result
-    r satisfies r^2 = a to the full precision of a and r = seed (mod p).
+    Requires v(a) = 0 (else PrecisionExhausted), seed nonzero mod p, and
+    seed^2 = a (mod p); the result r satisfies r^2 = a to the full precision
+    of a and r = seed (mod p).
     """
     p, prec = a.p, a.prec
     if a.is_zero or a.val != 0:
-        raise ValueError("hensel_sqrt requires a unit argument (valuation 0)")
+        raise PrecisionExhausted("hensel_sqrt requires a unit argument (valuation 0)")
     seed %= p
     if seed == 0:
         raise ZeroSeed("square-root seed is 0 mod p")
@@ -661,9 +661,12 @@ def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tu
 def padic_poly_roots(f: PadicPoly) -> list[PadicScalar]:
     """Every Z_p root of f, certified simple, to the best available precision.
 
-    Expects a polynomial that is nonzero to working precision with simple
-    roots (the callers certify this through a truncated discriminant); root
-    clusters that cannot be separated raise PrecisionExhausted.
+    Expects a polynomial that is nonzero to working precision.  Every root
+    returned is simple: Newton's lemma isolates it within the digits it
+    claims.  A root cluster that cannot be separated at the working
+    precision (a multiple root, or roots closer than the precision can
+    tell) raises PrecisionExhausted; chabauty bounds the number of roots by
+    Strassmann's theorem.
     """
     p = f.p
     deg = f.degree()

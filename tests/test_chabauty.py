@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from ckpoints import chabauty
 from ckpoints.chabauty import (
+    _strassmann_bound,
     common_zeros,
     disc_series,
     precisions,
     run_chabauty,
+    truncated_discriminant,
 )
 from ckpoints.cohomology import frobenius_action
 from ckpoints.coleman import integral_functional
@@ -16,12 +19,21 @@ from ckpoints.curve import (
     INFINITY,
     HyperellipticCurve,
     Point,
+    fp_disc_representatives,
     good_reduction_prime,
     involution,
     search_rational_points,
 )
+from ckpoints.errors import AllSeriesDegenerate, PrecisionExhausted, ZeroBoundExceeded
 from ckpoints.intpoly import taylor_shift
-from ckpoints.padic import PadicRing, PadicScalar
+from ckpoints.padic import (
+    PadicPoly,
+    PadicPowerSeries,
+    PadicRing,
+    PadicScalar,
+    formal_integrate,
+    padic_poly_roots,
+)
 
 FA_CACHE: dict = {}
 
@@ -225,8 +237,6 @@ def _as_tuple(point):
 
 
 def test_all_series_degenerate_raises(ex1, fa1):
-    from ckpoints.errors import AllSeriesDegenerate
-
     ds = disc_series(ex1, fa1, Point(6, 2))
     ring = PadicRing(7, 18)
     square = ring.series([0, 0, 1], 15)  # t^2: a certified double root
@@ -336,3 +346,157 @@ def test_off_center_roots_claim_only_known_digits(ex3_monic):
         )
     out = run_chabauty(curve, 11, known, fa_cache=FA_CACHE)
     assert len(out.rational) == 6 and not out.higher_torsion_extras
+
+
+# -- Strassmann bounds ----------------------------------------------------------
+
+R7 = PadicRing(7, 18)
+
+
+def test_strassmann_bound_zero():
+    # a unit constant term outweighs every c_n p^n with n >= 1
+    assert _strassmann_bound(R7.series([3, 1, 5], 15), 15, 7) == 0
+
+
+def test_strassmann_bound_one():
+    # 7 + t + 7t^2: v(c_0) + 0 = v(c_1) + 1 = 1 < v(c_2) + 2
+    assert _strassmann_bound(R7.series([7, 1, 7], 15), 15, 7) == 1
+
+
+def test_strassmann_bound_infinity_disc_shape():
+    # the antiderivative of a pullback shifted by t^4, as on the infinity
+    # disc: t^5/5 + t^6/2 + (2/7) t^7 under five O(7^18) coefficients
+    series = formal_integrate(R7.series([1, 3, 2], 14).shift_pow(4))
+    assert series.order == 15
+    assert _strassmann_bound(series, 15, 7) == 5
+
+
+def test_strassmann_bound_refused_when_a_zero_coefficient_reaches_the_minimum():
+    # c_0 = O(7) could be 7 * unit and tie with t at weight 1
+    coeffs = [PadicScalar.zero(7, 1)] + R7.series([0, 1], 15).coeffs[1:]
+    assert _strassmann_bound(PadicPowerSeries(coeffs, 15, 7), 15, 7) is None
+    # known to one more digit, c_0 stays above the minimum
+    coeffs[0] = PadicScalar.zero(7, 2)
+    assert _strassmann_bound(PadicPowerSeries(coeffs, 15, 7), 15, 7) == 1
+    # nothing is nonzero to precision
+    assert _strassmann_bound(R7.series([], 15), 15, 7) is None
+
+
+def test_strassmann_bound_refused_when_the_tail_reaches_the_minimum():
+    # at order 3 the terms past t^3 have valuation >= 4 - ilog_7(4) = 4
+    assert _strassmann_bound(R7.series([0, 0, 0, 7], 3), 3, 7) is None
+    assert _strassmann_bound(R7.series([0, 0, 0, 1], 3), 3, 7) == 3
+
+
+def test_bound_zero_disc_needs_no_root_finding(ex1, fa1, monkeypatch):
+    # on disc (0, 3) series 0 has bound 1 and series 1 and 2 bound 0
+    ds = disc_series(ex1, fa1, Point(0, 3))
+
+    def no_roots(f):
+        raise AssertionError("root finding on a disc proven empty")
+
+    monkeypatch.setattr(chabauty, "padic_poly_roots", no_roots)
+    assert common_zeros(ds) == ([], 1)
+
+
+def test_degenerate_series_falls_through_to_the_next_bound(ex1, fa1):
+    # t^2 (bound 2) has a double root; t^3 - 49t (bound 3) has the simple
+    # roots 0 and +-7, and only t = 0 is a zero of t^2
+    ds = disc_series(ex1, fa1, Point(6, 2))
+    square = R7.series([0, 0, 1], 15)
+    ds.series = [square, R7.series([0, -49, 0, 1], 15), square]
+    zeros, chosen = common_zeros(ds)
+    assert chosen == 1
+    assert len(zeros) == 1 and (zeros[0].x - ds.base.x).is_zero
+
+
+def test_more_roots_than_the_strassmann_bound_raise(ex1, fa1, monkeypatch):
+    ds = disc_series(ex1, fa1, Point(4, 0))  # every series has bound 1
+    real = chabauty.padic_poly_roots
+    monkeypatch.setattr(chabauty, "padic_poly_roots", lambda f: real(f) + [R7(1)])
+    with pytest.raises(ZeroBoundExceeded, match="Strassmann"):
+        common_zeros(ds)
+
+
+def test_coleman_bound_fires_on_a_padded_zero_list(ex1, monkeypatch):
+    out = run_chabauty(ex1, 7, [], fa_cache=FA_CACHE)
+    found = len(out.rational) + len(out.two_torsion_extras) + len(out.higher_torsion_extras)
+    coleman_bound = out.fp_count + 2 * ex1.genus - 2
+    # distinct fake points with y = 0, which the involution maps to themselves
+    padding = [Point(R7(100 + k), R7(0)) for k in range(coleman_bound - found + 1)]
+    real = chabauty.common_zeros
+
+    def padded(ds):
+        zeros, chosen = real(ds)
+        return (zeros + padding if ds.disc.at_infinity else zeros), chosen
+
+    monkeypatch.setattr(chabauty, "common_zeros", padded)
+    with pytest.raises(ZeroBoundExceeded, match="Coleman"):
+        run_chabauty(ex1, 7, [], fa_cache=FA_CACHE)
+
+
+def _discriminant_common_zeros(ds):
+    """common_zeros as certified before Strassmann bounds, kept as the oracle.
+
+    The first series whose truncation has a nonvanishing discriminant is
+    used; its roots go through the same vanishing check and Hensel cap.
+    """
+    ring = ds.chart.ring
+    p = ring.p
+    order = min(s.order for s in ds.series)
+    floor = ring.prec - 3
+    chosen = None
+    for i, f_i in enumerate(ds.series):
+        disc_val = truncated_discriminant(f_i.truncate(order), order)
+        if not disc_val.is_zero:
+            chosen = i
+            break
+    if chosen is None:
+        raise AllSeriesDegenerate(f"all series have multiple roots on disc {ds.disc}")
+    rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
+    roots = padic_poly_roots(PadicPoly(rescaled, p))
+    slope_series = ds.series[chosen].derivative()
+    points = []
+    for s_root in roots:
+        t_root = s_root.shift(1)
+        ok = True
+        for j in range(len(ds.series)):
+            if j == chosen:
+                continue
+            val = ds.series_value(t_root, j)
+            r = val.congruent(PadicScalar.zero(p, floor), required=floor)
+            if r is None:
+                raise PrecisionExhausted(
+                    f"vanishing undecidable at floor {floor} on disc {ds.disc}"
+                )
+            if r is False:
+                ok = False
+                break
+        if ok:
+            slope = slope_series.evaluate(t_root)
+            known = ds.series_value(t_root, chosen).prec - slope.val
+            points.append(ds.chart.point_at(t_root.cap(known)))
+    return points, chosen
+
+
+@pytest.mark.parametrize("p, discs", [(7, 16), (11, 26)])
+def test_strassmann_certificate_matches_discriminant_oracle(ex1, ex2, ex3_monic, p, discs):
+    # same zeros with the same claimed digits on every fixture disc; the
+    # chosen series may differ only where some series proves the disc empty
+    compared = 0
+    for curve in (ex1, ex2, ex3_monic[0]):
+        fa = _fa(curve, p)
+        for disc, _ in fp_disc_representatives(curve, p):
+            ds = disc_series(curve, fa, disc)
+            try:
+                want, want_chosen = _discriminant_common_zeros(ds)
+            except AllSeriesDegenerate:
+                continue
+            got, chosen = common_zeros(ds)
+            assert [repr(z) for z in got] == [repr(z) for z in want], disc
+            order = min(s.order for s in ds.series)
+            bounds = [_strassmann_bound(s, order, p) for s in ds.series]
+            if min(b for b in bounds if b is not None) >= 1:
+                assert chosen == want_chosen, disc
+            compared += 1
+    assert compared == discs

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ckpoints.errors import NotASquare, NotSimpleRoot, PrecisionExhausted, SingularSystem, ZeroSeed
+from ckpoints.errors import (
+    CkError,
+    NotASquare,
+    NotSimpleRoot,
+    PrecisionExhausted,
+    SingularSystem,
+    ZeroSeed,
+)
 from ckpoints.padic import (
     PadicPoly,
     PadicPowerSeries,
@@ -127,6 +134,16 @@ def test_hensel_sqrt_errors():
         hensel_sqrt(Z7(3), 3)  # 9 != 3 mod 7
     with pytest.raises(ZeroSeed):
         hensel_sqrt(Z7(1), 7)
+
+
+@pytest.mark.parametrize("a", [7, 49 * 2, 0])
+def test_hensel_sqrt_non_unit_raises_a_typed_error(a):
+    # a report shows a CkError as a precision failure, a ValueError as a crash
+    with pytest.raises(PrecisionExhausted) as info:
+        hensel_sqrt(Z7(a), 1)
+    assert isinstance(info.value, CkError) and not isinstance(info.value, ValueError)
+    with pytest.raises(PrecisionExhausted):
+        Z7.series([a, 1], 3).sqrt(Z7(1))
 
 
 # -- hensel_simple_root -----------------------------------------------------
@@ -459,7 +476,7 @@ def test_series_sqrt_non_square_seed_raises():
         Z7.series([3, 1], 3).sqrt(Z7(7))
     with pytest.raises(PrecisionExhausted):
         Z7.series([2, 1], 3).sqrt(Z7(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(PrecisionExhausted):
         Z7.series([7, 1], 3).sqrt(Z7(1))  # a_0 is not a unit
 
 
