@@ -8,7 +8,6 @@ torsion extras.
 """
 
 from .padic import (
-    PadicPoly,
     PadicPowerSeries,
     PadicRing,
     PadicScalar,

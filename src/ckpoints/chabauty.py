@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .classify import ClassifiedPoint, classify_point
 from .cohomology import FrobeniusAction, curve_count_fp, frobenius_action
-from .coleman import integral_functional
+from .coleman import integral_functional, series_order
 from .curve import (
     HyperellipticCurve,
     LocalChart,
@@ -37,7 +37,6 @@ from .curve import (
 )
 from .errors import AllSeriesDegenerate, NonTorsionExtra, PrecisionExhausted, ZeroBoundExceeded
 from .padic import (
-    PadicPoly,
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
@@ -51,10 +50,10 @@ from .padic import (
 def precisions(p: int, n: int | None = None) -> tuple[int, int]:
     """Working precisions for the prime p: p-adic n (2p+4 by default), t-adic M.
 
-    M is the least order with (M+1) - ilog_p(M+1) >= n - 3: the digits the
-    truncated series still determines at a root then reach the vanishing
-    floor n - 3.  At the default n, M = 2p+1.  The infinity disc shifts a
-    pullback by t^4, which needs M >= 3; M starts at n - 4, so n >= 7.
+    M is coleman.series_order(p, n): the digits the truncated series still
+    determines at a root then reach the vanishing floor n - 3.  At the
+    default n, M = 2p+1.  The infinity disc shifts a pullback by t^4, which
+    needs M >= 3; M starts at n - 4, so n >= 7.
     """
     if p < 7:
         raise ValueError("the driver requires a prime p >= 7")
@@ -62,10 +61,7 @@ def precisions(p: int, n: int | None = None) -> tuple[int, int]:
         n = 2 * p + 4
     if n < 7:
         raise ValueError(f"the p-adic precision must be at least 7, got {n}")
-    order = n - 4
-    while (order + 1) - ilog(p, order + 1) < n - 3:
-        order += 1
-    return n, order
+    return n, series_order(p, n)
 
 
 @dataclass
@@ -193,7 +189,7 @@ def common_zeros(ds: DiscSeries) -> tuple[list[Point], int]:
         # rescale t = p*s so the roots of interest are the Z_p roots
         rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
         try:
-            roots = padic_poly_roots(PadicPoly(rescaled, p))
+            roots = padic_poly_roots(rescaled)
         except PrecisionExhausted:
             continue
         break

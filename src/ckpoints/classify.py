@@ -201,9 +201,12 @@ def _lll(basis: list[list[int]], delta=Fraction(3, 4)) -> list[list[int]]:
             raise LatticeReductionStalled(f"LLL did not finish in {_LLL_MAX_ROUNDS} rounds")
         for j in range(k - 1, -1, -1):
             if abs(mu[k][j]) > Fraction(1, 2):
+                # b_k -= r b_j leaves every b*_i alone and moves only row k of mu
                 r = int(round(mu[k][j]))
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                mu, bstar_sq = gramschmidt()
+                for i in range(j):
+                    mu[k][i] -= r * mu[j][i]
+                mu[k][j] -= r
         if bstar_sq[k] >= (delta - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
             k += 1
         else:
@@ -431,15 +434,15 @@ def _refine_from_min_poly(point, poly, curve, ring) -> Point:
         return point
     p = ring.p
     try:
-        x = hensel_simple_root(ring.poly(poly), point.x.lift() % p)
-    except (CkError, ValueError):
+        x = hensel_simple_root(poly, point.x.lift(), p, ring.prec)
+    except CkError:
         return point
     if not (x - point.x).is_zero:
         return point
     if point.y.is_zero:
         return Point(x, ring.zero())
     try:
-        y = hensel_sqrt(curve.padic_poly(ring).evaluate(x), point.y.lift() % p)
-    except (CkError, ValueError):
+        y = hensel_sqrt(curve.f_at(x), point.y.lift() % p)
+    except CkError:
         return point
     return Point(x, y)

@@ -192,15 +192,10 @@ class _ReductionState:
         return col, Correction(self.p, ws, rows, self.e, n_target)
 
 
-def _residues(values, m: int) -> list[int]:
-    """Rationals with denominators prime to m as integers modulo m."""
-    return [Fraction(c).numerator * pow(Fraction(c).denominator, -1, m) % m for c in values]
-
-
 def _reduction_data(curve: HyperellipticCurve, p: int, nw: int):
     """F, F' and (F')^{-1} mod F as integer lists modulo p^nw."""
     m = p**nw
-    f = _residues(curve.coeffs, m)
+    f = curve.fp_coeffs(m)
     df = [i * f[i] % m for i in range(1, len(f))]
     gcd, sf_p, _ = xgcd(df, f, p)
     if gcd != [1]:
@@ -384,7 +379,7 @@ def _lift_poly_inverse(a: list[int], inv_p: list[int], f: list[int], p: int, nw:
 def reduce_odd_differential(
     curve: HyperellipticCurve,
     ring: PadicRing,
-    numerator: list,
+    numerator: list[int],
     pole_level: int,
 ) -> tuple[list[PadicScalar], Correction]:
     """Reduce numerator(x) * y^(-2*pole_level) dx/(2y) to the basis.
@@ -395,7 +390,7 @@ def reduce_odd_differential(
     p = ring.p
     nw = ring.prec + pole_level + 8
     state = _ReductionState(*_reduction_data(curve, p, nw), p, nw, curve.genus)
-    state.add(pole_level, trim(_residues(numerator, p**nw)))
+    state.add(pole_level, trim([c % p**nw for c in numerator]))
     state.sweep()
     return state.published(ring.prec)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .cohomology import FrobeniusAction, evaluate_correction
 from .curve import (
-    INFINITY,
     HyperellipticCurve,
     Point,
     involution,
@@ -51,23 +50,29 @@ class IntegralVector:
     """
 
     values: list[PadicScalar]
-    start: Point
-    end: Point
     p: int
     precision: int
 
-    @property
-    def holomorphic(self) -> list[PadicScalar]:
-        return self.values[: len(self.values) // 2]
+
+def _vector(values, p) -> IntegralVector:
+    return IntegralVector(values, p, min(v.prec for v in values))
 
 
-def _vector(values, start, end, p) -> IntegralVector:
-    return IntegralVector(values, start, end, p, min(v.prec for v in values))
+def _zero_vector(curve, ring) -> IntegralVector:
+    return _vector([ring.zero() for _ in range(2 * curve.genus)], ring.p)
 
 
-def _zero_vector(curve, start, end, ring) -> IntegralVector:
-    z = [ring.zero() for _ in range(2 * curve.genus)]
-    return _vector(z, start, end, ring.p)
+def series_order(p: int, n: int) -> int:
+    """The t-adic truncation order M that p-adic precision n calls for.
+
+    M is the least order from n - 4 up with (M+1) - ilog_p(M+1) >= n - 3:
+    the terms a truncated series drops at a parameter of valuation >= 1 then
+    sit at or past the floor n - 3.  At n = 2p + 4, M = 2p + 1.
+    """
+    order = n - 4
+    while (order + 1) - ilog(p, order + 1) < n - 3:
+        order += 1
+    return order
 
 
 def _is_weierstrass_center(point: Point) -> bool:
@@ -109,7 +114,7 @@ def tiny_integral(
     """
     p = ring.p
     if start.at_infinity and end.at_infinity:
-        return _zero_vector(curve, start, end, ring)
+        return _zero_vector(curve, ring)
     if start.at_infinity or end.at_infinity:
         raise PoleAtPoint("tiny integral with an exact infinity endpoint diverges for i >= g")
     if reduce_point(start, p) != reduce_point(end, p):
@@ -120,7 +125,7 @@ def tiny_integral(
     values = []
     for shift, series in chart.omega_pullbacks():
         values.append(_integrate_pullback(series, shift, t0, t1, ring))
-    return _vector(values, start, end, p)
+    return _vector(values, p)
 
 
 def _integrate_pullback(series, shift, t0, t1, ring) -> PadicScalar:
@@ -162,10 +167,8 @@ def teichmuller_point(point: Point, curve: HyperellipticCurve, ring: PadicRing) 
     if _in_weierstrass_disc(point, p):
         raise WeierstrassDisc("Teichmueller points require a non-Weierstrass disc")
     # x is the root of x^p - x in the residue class of x mod p
-    xs = hensel_simple_root(ring.poly([0, -1] + [0] * (p - 2) + [1]), point.x.lift() % p)
-    f = curve.padic_poly(ring)
-    ybar = point.y.lift() % p
-    return Point(xs, hensel_sqrt(f.evaluate(xs), ybar))
+    xs = hensel_simple_root([0, -1] + [0] * (p - 2) + [1], point.x.lift(), p, ring.prec)
+    return Point(xs, hensel_sqrt(curve.f_at(xs), point.y.lift() % p))
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +187,24 @@ def coleman_integral(
     ring, order = _ring_and_order(fa, order)
     p = ring.p
     if _same_point(start, end):
-        return _zero_vector(curve, start, end, ring)
+        return _zero_vector(curve, ring)
     # an exact Weierstrass center has integral 0 from infinity; the other
     # end's integral is returned as is rather than less a capped zero
     if _is_weierstrass_center(start):
-        return _vector(_from_infinity(curve, fa, end, ring, order), start, end, p)
+        return _vector(_from_infinity(curve, fa, end, ring, order), p)
     if _is_weierstrass_center(end):
-        values = _from_infinity(curve, fa, start, ring, order)
-        return _vector([-v for v in values], start, end, p)
+        return _vector([-v for v in _from_infinity(curve, fa, start, ring, order)], p)
     if reduce_point(start, p) == reduce_point(end, p):
         return tiny_integral(curve, start, end, ring, order)
     to_end = _from_infinity(curve, fa, end, ring, order)
     to_start = _from_infinity(curve, fa, start, ring, order)
-    return _vector([a - b for a, b in zip(to_end, to_start)], start, end, p)
+    return _vector([a - b for a, b in zip(to_end, to_start)], p)
 
 
 def _ring_and_order(fa: FrobeniusAction, order: int | None) -> tuple[PadicRing, int]:
-    return PadicRing(fa.p, fa.precision), 2 * fa.p + 1 if order is None else order
+    if order is None:
+        order = series_order(fa.p, fa.precision)
+    return PadicRing(fa.p, fa.precision), order
 
 
 def _from_infinity(curve, fa, point, ring, order) -> list[PadicScalar]:
@@ -237,4 +241,4 @@ def integral_functional(
     """The holomorphic triple int_infinity^point of x^i dx/2y, i = 0..g-1."""
     ring, order = _ring_and_order(fa, order)
     values = _from_infinity(curve, fa, point, ring, order)
-    return _vector(values[: curve.genus], INFINITY, point, fa.p)
+    return _vector(values[: curve.genus], fa.p)

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .intpoly import evaluate, xgcd
 from .padic import (
-    PadicPoly,
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
@@ -93,17 +92,19 @@ class HyperellipticCurve:
             acc = acc * x + c
         return acc
 
-    def fp_coeffs(self, p: int) -> list[int]:
-        """Coefficients of F reduced mod p; requires p-integral coefficients."""
+    def fp_coeffs(self, m: int) -> list[int]:
+        """Coefficients of F as integers mod m; denominators must be prime to m."""
         out = []
         for c in self.coeffs:
-            if c.denominator % p == 0:
-                raise BadReduction(f"coefficient denominator divisible by {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
+            if math.gcd(c.denominator, m) != 1:
+                raise BadReduction(f"coefficient denominator {c.denominator} not prime to {m}")
+            out.append(c.numerator * pow(c.denominator, -1, m) % m)
         return out
 
-    def padic_poly(self, ring: PadicRing) -> PadicPoly:
-        return ring.poly(self.coeffs)
+    def f_at(self, x: PadicScalar) -> PadicScalar:
+        """F(x) at a p-integral x, to the precision of x."""
+        m = x.p**x.prec
+        return PadicScalar.from_int(evaluate(self.fp_coeffs(m), x.lift(), m), x.p, x.prec)
 
     def has_good_reduction(self, p: int) -> bool:
         if p < 3:
@@ -121,9 +122,12 @@ class HyperellipticCurve:
             return True
         x, y = point.x, point.y
         if isinstance(x, PadicScalar):
+            # Horner over PadicScalar: x may have negative valuation
             ring = PadicRing(x.p, max(x.prec, 1))
-            val = self.padic_poly(ring).evaluate(x) - y * y
-            return val.is_zero
+            acc = PadicScalar.zero(x.p, ring.prec + max(x.val, 0) * len(self.coeffs))
+            for c in reversed(self.coeffs):
+                acc = acc * x + ring(c)
+            return (acc - y * y).is_zero
         return self.f_eval(Fraction(x)) == Fraction(y) ** 2
 
     def __repr__(self):
@@ -229,12 +233,11 @@ def lift_point(pbar: Point, curve: HyperellipticCurve, ring: PadicRing) -> Point
     """
     if pbar.at_infinity:
         return INFINITY
-    f = curve.padic_poly(ring)
-    if pbar.y % ring.p == 0:
-        x = hensel_simple_root(f, pbar.x)
-        return Point(x, ring.zero())
+    p, n = ring.p, ring.prec
+    if pbar.y % p == 0:
+        return Point(hensel_simple_root(curve.fp_coeffs(p**n), pbar.x, p, n), ring.zero())
     x = ring(pbar.x)
-    return Point(x, hensel_sqrt(f.evaluate(x), pbar.y))
+    return Point(x, hensel_sqrt(curve.f_at(x), pbar.y))
 
 
 def reduce_point(point: Point, p: int) -> Point:
@@ -361,7 +364,7 @@ def local_chart(point: Point, curve: HyperellipticCurve, ring: PadicRing, order:
     """
     p = ring.p
     g = curve.genus
-    f = curve.padic_poly(ring)
+    f = [ring(c) for c in curve.coeffs]
     if point.at_infinity or (not point.x.is_zero and point.x.val < 0):
         # V(t) = t^(2(2g+1)) * F(1/t^2) = 1 + c_{2g} t^2 + ... + c_0 t^(2(2g+1))
         coeffs = [ring.zero() for _ in range(order + 1)]
@@ -369,15 +372,14 @@ def local_chart(point: Point, curve: HyperellipticCurve, ring: PadicRing, order:
         for j in range(2 * g + 1):
             e = 2 * (2 * g + 1 - j)
             if e <= order:
-                coeffs[e] = ring(curve.coeffs[j])
+                coeffs[e] = f[j]
         v = PadicPowerSeries(coeffs, order, p)
         u = v.sqrt(ring.one())
         x_series = PadicPowerSeries.constant(ring.one(), order)
         return LocalChart("infinity", INFINITY, curve, ring, order, x_series, u)
     if point.y.is_zero or point.y.val >= 1:
         # center at the exact Weierstrass point of the disc
-        xbar = point.x.lift() % p
-        x0 = hensel_simple_root(f, xbar)
+        x0 = hensel_simple_root(curve.fp_coeffs(p**ring.prec), point.x.lift(), p, ring.prec)
         center = Point(x0, ring.zero())
         x_series = _solve_weierstrass_x(f, x0, ring, order)
         y_series = PadicPowerSeries(
@@ -392,14 +394,14 @@ def local_chart(point: Point, curve: HyperellipticCurve, ring: PadicRing, order:
     return LocalChart("non-weierstrass", point, curve, ring, order, xs, y_series)
 
 
-def _solve_weierstrass_x(f: PadicPoly, x0: PadicScalar, ring: PadicRing, order: int) -> PadicPowerSeries:
+def _solve_weierstrass_x(f: list[PadicScalar], x0: PadicScalar, ring: PadicRing, order: int) -> PadicPowerSeries:
     """Series x(t) with F(x(t)) = t^2 and x(0) = x0 (F'(x0) a unit)."""
     p = ring.p
     t2 = PadicPowerSeries(
         [ring.zero(), ring.zero(), ring.one()] + [ring.zero()] * (order - 2), order, p
     )
     x = PadicPowerSeries.constant(x0, order)
-    df = f.derivative()
+    df = [f[i].mul_int(i) for i in range(1, len(f))]
     known = 1
     while known <= order:
         x = x - (x.compose_poly(f) - t2) * x.compose_poly(df).inverse()

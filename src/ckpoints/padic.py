@@ -8,11 +8,12 @@ indistinguishable from 0 at its precision is flagged zero-to-precision and
 comparisons against it are three-valued; undecidable comparisons raise
 PrecisionExhausted at decision points instead of silently passing.
 
-On top of the scalars the module provides dense polynomials, truncated power
-series (inverse and square root each one pass of a coefficient recurrence),
-Hensel lifting (square roots and simple polynomial roots), a guaranteed Z_p
-root finder, formal integration, and small-matrix linear algebra with
-minimum-valuation pivoting.
+On top of the scalars the module provides truncated power series (inverse
+and square root each one pass of a coefficient recurrence), Hensel lifting
+(square roots, and simple roots of integer polynomials), a guaranteed Z_p
+root finder for polynomials with PadicScalar coefficients, formal
+integration, and small-matrix linear algebra with minimum-valuation
+pivoting.  Exact polynomials stay integer lists (see intpoly).
 """
 
 from __future__ import annotations
@@ -295,7 +296,7 @@ class PadicScalar:
 
 
 class PadicRing:
-    """Convenience factory fixing (p, prec) for scalars, polys and series."""
+    """Convenience factory fixing (p, prec) for scalars and series."""
 
     def __init__(self, p: int, prec: int):
         if p < 3 or p % 2 == 0:
@@ -316,57 +317,10 @@ class PadicRing:
     def one(self) -> PadicScalar:
         return PadicScalar.one(self.p, self.prec)
 
-    def poly(self, coeffs) -> "PadicPoly":
-        return PadicPoly([self(c) for c in coeffs], self.p)
-
     def series(self, coeffs, order: int) -> "PadicPowerSeries":
         cs = [self(c) for c in coeffs]
         cs += [self.zero()] * (order + 1 - len(cs))
         return PadicPowerSeries(cs[: order + 1], order, self.p)
-
-
-# ---------------------------------------------------------------------------
-# Polynomials
-# ---------------------------------------------------------------------------
-
-
-class PadicPoly:
-    """Dense polynomial over PadicScalar, coefficients in ascending order."""
-
-    __slots__ = ("coeffs", "p")
-
-    def __init__(self, coeffs: list[PadicScalar], p: int):
-        self.coeffs = list(coeffs)
-        self.p = p
-
-    def degree(self) -> int:
-        """Largest index with a certainly-nonzero coefficient; -1 if none."""
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zero:
-                return i
-        return -1
-
-    def __getitem__(self, i: int) -> PadicScalar:
-        return self.coeffs[i]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def evaluate(self, x: PadicScalar) -> PadicScalar:
-        acc = PadicScalar.zero(self.p, self.coeffs[-1].prec + max(x.val, 0) * len(self.coeffs))
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "PadicPoly":
-        if len(self.coeffs) <= 1:
-            return PadicPoly([PadicScalar.zero(self.p, self.coeffs[0].prec)], self.p)
-        return PadicPoly(
-            [self.coeffs[i].mul_int(i) for i in range(1, len(self.coeffs))], self.p
-        )
-
-    def __str__(self):
-        return " + ".join(f"({c})*x^{i}" for i, c in enumerate(self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +463,10 @@ class PadicPowerSeries:
             y.append(sum((-(y[i] * y[n - i]) for i in range(1, n)), a[n]) / two_y0)
         return PadicPowerSeries(y, self.order, self.p)
 
-    def compose_poly(self, poly: PadicPoly) -> "PadicPowerSeries":
-        """Evaluate the polynomial at this series (Horner)."""
-        acc = PadicPowerSeries.constant(
-            PadicScalar.zero(self.p, poly.coeffs[-1].prec), self.order
-        )
-        for c in reversed(poly.coeffs):
+    def compose_poly(self, coeffs: list[PadicScalar]) -> "PadicPowerSeries":
+        """Evaluate the polynomial with these ascending coefficients at this series (Horner)."""
+        acc = PadicPowerSeries.constant(PadicScalar.zero(self.p, coeffs[-1].prec), self.order)
+        for c in reversed(coeffs):
             acc = acc * self + PadicPowerSeries.constant(c, self.order)
         return acc
 
@@ -570,24 +522,19 @@ def hensel_sqrt(a: PadicScalar, seed: int) -> PadicScalar:
     return PadicScalar(p, 0, _newton_root([-a_int, 0, 1], seed, p, prec), prec)
 
 
-def hensel_simple_root(f: PadicPoly, seed: int) -> PadicScalar:
-    """Lift a simple root of f mod p to a root of f to full precision.
+def hensel_simple_root(f: list[int], seed: int, p: int, prec: int) -> PadicScalar:
+    """The root of the integer polynomial f modulo p^prec that is seed mod p.
 
-    Requires f(seed) = 0 and f'(seed) != 0 (mod p); Newton iteration then
-    converges to the unique root of f congruent to seed mod p.
+    f holds ascending coefficients, exact or reduced mod p^prec.  Requires
+    f(seed) = 0 and f'(seed) != 0 (mod p), else NotSimpleRoot; Newton
+    iteration then converges to the unique root of f congruent to seed.
     """
-    p = f.p
-    prec = min(c.prec for c in f.coeffs)
-    for c in f.coeffs:
-        if not c.is_zero and c.val < 0:
-            raise ValueError("hensel_simple_root requires p-integral coefficients")
-    cs = [c.cap(prec).lift() for c in f.coeffs]
     seed %= p
-    if evaluate(cs, seed, p) != 0:
+    if evaluate(f, seed, p) != 0:
         raise NotSimpleRoot(f"{seed} is not a root mod {p}")
-    if evaluate([i * cs[i] for i in range(1, len(cs))], seed, p) == 0:
+    if evaluate([i * f[i] for i in range(1, len(f))], seed, p) == 0:
         raise NotSimpleRoot(f"derivative vanishes at {seed} mod {p}")
-    return PadicScalar.from_int(_newton_root(cs, seed, p, prec), p, prec)
+    return PadicScalar.from_int(_newton_root(f, seed, p, prec), p, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -658,26 +605,26 @@ def _zp_roots_int(coeffs: list[int], p: int, budget: int, depth: int) -> list[tu
     return out
 
 
-def padic_poly_roots(f: PadicPoly) -> list[PadicScalar]:
-    """Every Z_p root of f, certified simple, to the best available precision.
+def padic_poly_roots(coeffs: list[PadicScalar]) -> list[PadicScalar]:
+    """Every Z_p root of the polynomial with these ascending coefficients.
 
-    Expects a polynomial that is nonzero to working precision.  Every root
-    returned is simple: Newton's lemma isolates it within the digits it
+    Expects coefficients that are not all zero to working precision; they
+    may have negative valuation.  Every root returned is simple, to the best
+    available precision: Newton's lemma isolates it within the digits it
     claims.  A root cluster that cannot be separated at the working
     precision (a multiple root, or roots closer than the precision can
     tell) raises PrecisionExhausted; chabauty bounds the number of roots by
     Strassmann's theorem.
     """
-    p = f.p
-    deg = f.degree()
-    if deg < 0:
+    p = coeffs[0].p
+    nonzero = [i for i, c in enumerate(coeffs) if not c.is_zero]
+    if not nonzero:
         raise PrecisionExhausted("polynomial is zero to working precision")
-    if deg == 0:
+    if nonzero == [0]:
         return []
-    vals = [c.val for c in f.coeffs if not c.is_zero]
-    shift = -min(min(vals), 0)
-    prec = min(c.prec for c in f.coeffs) + shift
-    ints = [c.shift(shift).lift() for c in f.coeffs]
+    shift = -min(min(coeffs[i].val for i in nonzero), 0)
+    prec = min(c.prec for c in coeffs) + shift
+    ints = [c.shift(shift).lift() for c in coeffs]
     content = min(int_valuation(c, p) for c in ints if c != 0)
     if content:
         ints = [c // p**content for c in ints]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ckpoints.curve import HyperellipticCurve, scale_to_monic
-from ckpoints.padic import PadicPoly, PadicScalar
+from ckpoints.padic import PadicScalar
 
 # y^2 = x^7 - 37024 x^6 + ... - 103079215104; two rational points
 EX1_COEFFS = [
@@ -54,9 +54,22 @@ def ex3_monic():
 
 
 def correction_polys(corr):
-    """A flat Correction as {w: PadicPoly}, one PadicScalar per coefficient."""
+    """A flat Correction as {w: coefficient list}, one PadicScalar per coefficient."""
     p, top = corr.p, corr.prec + corr.e
     return {
-        w: PadicPoly([PadicScalar.from_int(r, p, top).shift(-corr.e) for r in row], p)
+        w: [PadicScalar.from_int(r, p, top).shift(-corr.e) for r in row]
         for w, row in zip(corr.ws, corr.rows)
     }
+
+
+def horner(coeffs, x):
+    """Horner's rule over PadicScalar coefficients (ascending) at a PadicScalar x."""
+    acc = PadicScalar.zero(x.p, coeffs[-1].prec + max(x.val, 0) * len(coeffs))
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def f_horner(curve, ring, x):
+    """F(x) by Horner's rule, with the coefficients of F taken in ring."""
+    return horner([ring(c) for c in curve.coeffs], x)

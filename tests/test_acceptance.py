@@ -38,7 +38,7 @@ from ckpoints.curve import (
     scale_to_monic,
     search_rational_points,
 )
-from ckpoints.padic import PadicPoly, PadicRing, PadicScalar, formal_integrate, padic_poly_roots
+from ckpoints.padic import PadicRing, PadicScalar, formal_integrate, padic_poly_roots
 from conftest import EX3_RAW_COEFFS
 
 FA_CACHE: dict = {}
@@ -285,7 +285,7 @@ def test_criterion_8_oracle_equivalence(ex1):
     while done < 20:
         deg = rng.choice([2, 3])
         coeffs = [rng.randrange(-30, 30) for _ in range(deg)] + [rng.randrange(1, 5)]
-        f = PadicPoly([PadicScalar.from_int(c, p, 4) for c in coeffs], p)
+        f = [PadicScalar.from_int(c, p, 4) for c in coeffs]
         try:
             got = sorted(r.lift() % p**4 for r in padic_poly_roots(f))
         except Exception:

@@ -27,7 +27,6 @@ from ckpoints.curve import (
 from ckpoints.errors import AllSeriesDegenerate, PrecisionExhausted, ZeroBoundExceeded
 from ckpoints.intpoly import taylor_shift
 from ckpoints.padic import (
-    PadicPoly,
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
@@ -454,7 +453,7 @@ def _discriminant_common_zeros(ds):
     if chosen is None:
         raise AllSeriesDegenerate(f"all series have multiple roots on disc {ds.disc}")
     rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
-    roots = padic_poly_roots(PadicPoly(rescaled, p))
+    roots = padic_poly_roots(rescaled)
     slope_series = ds.series[chosen].derivative()
     points = []
     for s_root in roots:

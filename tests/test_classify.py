@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +18,23 @@ from ckpoints.classify import (
     rational_reconstruct,
     torsion_order,
 )
+from ckpoints.chabauty import run_chabauty
 from ckpoints.cohomology import frobenius_action, jacobian_order_fp
-from ckpoints.curve import HyperellipticCurve, Point, enumerate_fp_points, lift_point
+from ckpoints.curve import (
+    HyperellipticCurve,
+    Point,
+    enumerate_fp_points,
+    lift_point,
+    parse_curve_line,
+    scale_to_monic,
+)
 from ckpoints.errors import LatticeReductionStalled, NotSimpleRoot, NotTorsionConsistent
 from ckpoints.padic import PadicRing, hensel_sqrt
 
+from conftest import f_horner
+
 Z7 = PadicRing(7, 18)
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
 
 
 # -- rational reconstruction ---------------------------------------------------
@@ -128,6 +140,94 @@ def test_lll_round_limit_raises(monkeypatch):
         algebraic_dependency(x)
     monkeypatch.undo()
     assert algebraic_dependency(x) == [-2, 0, 1]
+
+
+def _lll_recomputing(basis, delta=Fraction(3, 4)):
+    """The LLL that recomputed Gram-Schmidt after every size reduction (oracle)."""
+    b = [list(map(int, row)) for row in basis]
+    n = len(b)
+
+    def gramschmidt():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        bstar_sq = [Fraction(0)] * n
+        bstar = [[Fraction(0)] * len(b[0]) for _ in range(n)]
+        for i in range(n):
+            bstar[i] = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                if bstar_sq[j] == 0:
+                    mu[i][j] = Fraction(0)
+                    continue
+                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], bstar[j])) / bstar_sq[j]
+                bstar[i] = [x - mu[i][j] * y for x, y in zip(bstar[i], bstar[j])]
+            bstar_sq[i] = sum(x * x for x in bstar[i])
+        return mu, bstar_sq
+
+    mu, bstar_sq = gramschmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                r = int(round(mu[k][j]))
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                mu, bstar_sq = gramschmidt()
+        if bstar_sq[k] >= (delta - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, bstar_sq = gramschmidt()
+            k = max(k - 1, 1)
+    b.sort(key=lambda row: sum(x * x for x in row))
+    return b
+
+
+def _det(rows):
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j in range(3))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lll_matches_recomputing_oracle_on_random_lattices(dim):
+    rng = random.Random(dim)
+    done = 0
+    while done < 150:
+        scale = rng.choice([10, 1000, 10**9])
+        basis = [[rng.randrange(-scale, scale) for _ in range(dim)] for _ in range(dim)]
+        if _det(basis) == 0:
+            continue
+        assert ckpoints.classify._lll(basis) == _lll_recomputing(basis)
+        done += 1
+    # relation lattices shaped as in algebraic_dependency
+    for _ in range(50):
+        m = rng.choice([7, 11, 13]) ** rng.randrange(4, 30)
+        a = rng.randrange(m)
+        basis = [[m] + [0] * (dim - 1)]
+        for i in range(1, dim):
+            basis.append([(-pow(a, i, m)) % m] + [int(i == j) for j in range(1, dim)])
+        assert ckpoints.classify._lll(basis) == _lll_recomputing(basis)
+
+
+def test_lll_matches_recomputing_oracle_on_fixture_runs(monkeypatch):
+    # every lattice that classification reduces on the three fixtures at
+    # p = 7 and 11, the primes of the report goldens
+    seen = []
+    real = ckpoints.classify._lll
+
+    def recording(basis):
+        seen.append([list(row) for row in basis])
+        return real(basis)
+
+    monkeypatch.setattr(ckpoints.classify, "_lll", recording)
+    for line in FIXTURE.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        curve, _ = scale_to_monic(parse_curve_line(line))
+        for p in (7, 11):
+            run_chabauty(curve, p)
+    assert len(seen) == 6
+    for basis in seen:
+        assert real(basis) == _lll_recomputing(basis)
 
 
 def test_dependency_degree_one_agrees_with_reconstruction():
@@ -237,7 +337,7 @@ def test_torsion_order_example2(ex2):
     fa = frobenius_action(ex2, 7, 18)
     ring = PadicRing(7, 18)
     x = ring(Fraction(-1, 8))
-    f_at = ex2.padic_poly(ring).evaluate(x)
+    f_at = f_horner(ex2, ring, x)
     seed = next(s for s in range(1, 7) if s * s % 7 == f_at.lift() % 7)
     y = hensel_sqrt(f_at, seed)
     q = Point(x, y)
@@ -265,7 +365,7 @@ def test_classify_higher_torsion(ex2):
     fa = frobenius_action(ex2, 7, 18)
     ring = PadicRing(7, 18)
     x = ring(Fraction(-1, 8))
-    f_at = ex2.padic_poly(ring).evaluate(x)
+    f_at = f_horner(ex2, ring, x)
     seed = next(s for s in range(1, 7) if s * s % 7 == f_at.lift() % 7)
     q = Point(x, hensel_sqrt(f_at, seed))
     c = classify_point(q, ex2, fa)
@@ -278,7 +378,7 @@ def test_classify_higher_torsion(ex2):
 def test_refine_falls_back_only_on_expected_lift_failures(ex2, monkeypatch):
     ring = PadicRing(7, 18)
     x = ring(Fraction(-1, 8))
-    f_at = ex2.padic_poly(ring).evaluate(x)
+    f_at = f_horner(ex2, ring, x)
     seed = next(s for s in range(1, 7) if s * s % 7 == f_at.lift() % 7)
     q = Point(x, hensel_sqrt(f_at, seed))
 
@@ -292,6 +392,10 @@ def test_refine_falls_back_only_on_expected_lift_failures(ex2, monkeypatch):
     assert ckpoints.classify._refine_from_min_poly(q, [1, 8], ex2, ring) is q
     monkeypatch.setattr(ckpoints.classify, "hensel_simple_root", raising(TypeError("bug")))
     with pytest.raises(TypeError):
+        ckpoints.classify._refine_from_min_poly(q, [1, 8], ex2, ring)
+    # integer input cannot be non-integral, so a ValueError is a bug too
+    monkeypatch.setattr(ckpoints.classify, "hensel_simple_root", raising(ValueError("bug")))
+    with pytest.raises(ValueError):
         ckpoints.classify._refine_from_min_poly(q, [1, 8], ex2, ring)
 
 

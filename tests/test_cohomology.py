@@ -34,7 +34,7 @@ from ckpoints.curve import (
 )
 from ckpoints.errors import BadReduction, PoleAtPoint, PrecisionExhausted
 from ckpoints.intpoly import add, divmod_monic, mul, scale, trim
-from ckpoints.padic import PadicPoly, PadicPowerSeries, PadicRing, PadicScalar, int_valuation
+from ckpoints.padic import PadicPowerSeries, PadicRing, PadicScalar, int_valuation
 
 CURVE_X7P1 = HyperellipticCurve([1, 0, 0, 0, 0, 0, 0, 1])
 
@@ -170,7 +170,7 @@ def test_reduce_exactness_identity_randomized():
         s = rng.randrange(1, 4)
         numer = [rng.randrange(-20, 20) for _ in range(rng.randrange(1, 9))]
         col, corr = reduce_odd_differential(curve, ring, numer, s)
-        numer_poly = ring.poly(numer) if numer else ring.poly([0])
+        numer_poly = [ring(c) for c in numer or [0]]
         lhs = (
             xs.compose_poly(numer_poly)
             * (ys * ys).inverse() ** s
@@ -389,7 +389,7 @@ def _action_triples(fa):
         "precision": fa.precision,
         "matrix": [[triple(c) for c in row] for row in fa.matrix],
         "corrections": [
-            [[w, [triple(c) for c in poly.coeffs]] for w, poly in correction_polys(corr).items()]
+            [[w, [triple(c) for c in poly]] for w, poly in correction_polys(corr).items()]
             for corr in fa.corrections
         ],
     }
@@ -514,18 +514,18 @@ class _EagerReductionState:
         corr = {}
         for w, poly in sorted(self.corrections.items()):
             if poly:
-                corr[w] = PadicPoly([scalar(c) for c in poly], self.p)
+                corr[w] = [scalar(c) for c in poly]
         return col, corr
 
 
 def _published_triples(col, corr):
-    """(val, unit, prec) of a column and its correction, flat or {w: PadicPoly}."""
+    """(val, unit, prec) of a column and its correction, flat or {w: coefficient list}."""
     polys = corr if isinstance(corr, dict) else correction_polys(corr)
 
     def triple(c):
         return (c.val, c.unit, c.prec)
 
-    return [triple(c) for c in col], [(w, [triple(c) for c in poly.coeffs]) for w, poly in sorted(polys.items())]
+    return [triple(c) for c in col], [(w, [triple(c) for c in poly]) for w, poly in sorted(polys.items())]
 
 
 class _TwinSweep:
@@ -678,7 +678,7 @@ def test_frobenius_exactness_in_chart(ex1):
         fpow = new
     e_exact = [(a - b) / p for a, b in zip(fxp, fpow)]
     assert all(c.denominator == 1 for c in e_exact)
-    e_poly = ring.poly(e_exact)
+    e_poly = [ring(c) for c in e_exact]
 
     y2p_inv = (ys * ys).inverse() ** p
     arg_series = PadicPowerSeries.constant(ring.one(), order) + (

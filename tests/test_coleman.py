@@ -7,8 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS, correction_polys
+from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS, correction_polys, f_horner, horner
 
+from ckpoints.chabauty import precisions
 from ckpoints.cohomology import evaluate_correction, frobenius_action
 from ckpoints.coleman import (
     coleman_integral,
@@ -30,7 +31,6 @@ from ckpoints.curve import (
 )
 from ckpoints.errors import DifferentDiscs, PoleAtPoint, WeierstrassDisc
 from ckpoints.padic import (
-    PadicPoly,
     PadicRing,
     formal_integrate,
     hensel_simple_root,
@@ -262,7 +262,7 @@ def test_path_independence_through_weierstrass_disc(ex1, fa1):
 def _frobenius_point(point, curve, ring):
     """Image of a non-Weierstrass point under the Frobenius lift x -> x^p."""
     xp = point.x**ring.p
-    return Point(xp, hensel_sqrt(curve.padic_poly(ring).evaluate(xp), point.y.lift() % ring.p))
+    return Point(xp, hensel_sqrt(f_horner(curve, ring, xp), point.y.lift() % ring.p))
 
 
 def test_change_of_variables_frobenius(ex1, fa1):
@@ -296,6 +296,22 @@ def test_lift_independence_inside_disc(ex1, fa1):
         assert d.is_zero or d.val >= N7 - 3
 
 
+def test_default_order_follows_the_precision(ex3_monic):
+    # the default t-adic order grows with N: at N = 40 a tiny integral
+    # claims N - 2 digits, not the 16 that the order 2p + 1 allows
+    curve, _ = ex3_monic
+    got = {}
+    for n in (18, 40):
+        ring = PadicRing(P7, n)
+        base = lift_point(Point(0, 1), curve, ring)
+        end = local_chart(base, curve, ring, precisions(P7, n)[1]).point_at(ring(P7))
+        got[n] = coleman_integral(curve, frobenius_action(curve, P7, n), base, end)
+    assert got[18].precision == 16
+    assert got[40].precision >= 38
+    for lo, hi in zip(got[18].values, got[40].values, strict=True):
+        assert lo.congruent(hi, required=lo.prec) is True
+
+
 def test_integral_functional_on_example3(ex3_monic, fa1):
     curve, pmap = ex3_monic
     fa = frobenius_action(curve, 7, N7)
@@ -312,7 +328,7 @@ def test_integral_functional_vanishes_at_torsion_points(ex2):
     # integrals from infinity vanishes there; n * (triple) = 0 is consistent
     fa = frobenius_action(ex2, P7, N7)
     x = RING(Fraction(-1, 8))
-    f_at = ex2.padic_poly(RING).evaluate(x)
+    f_at = f_horner(ex2, RING, x)
     seed = next(s for s in range(1, 7) if s * s % 7 == f_at.lift() % 7)
     q = Point(x, hensel_sqrt(f_at, seed))
     vec = integral_functional(ex2, fa, q)
@@ -368,14 +384,14 @@ def _audit_points(curve, ring):
     The Weierstrass disc of (4, 0): y = 7k, x the root of F(x) - y^2 over 4.
     The infinity disc: x = t^-2, y = t^-7 sqrt(t^14 F(t^-2)) with t = 7k.
     """
-    f = curve.padic_poly(ring)
+    f = [ring(c).lift() for c in curve.coeffs]
     pts = []
     for xbar, ybar, k in ((0, 3, 1), (1, 5, 3), (2, 6, 4), (6, 2, 2)):
         x = ring(xbar + 7 * k)
-        pts.append(Point(x, hensel_sqrt(f.evaluate(x), ybar)))
+        pts.append(Point(x, hensel_sqrt(f_horner(curve, ring, x), ybar)))
     for k in (1, 3):
-        shifted = PadicPoly([f[0] - ring(49 * k * k)] + f.coeffs[1:], ring.p)
-        pts.append(Point(hensel_simple_root(shifted, 4), ring(7 * k)))
+        shifted = [f[0] - 49 * k * k] + f[1:]
+        pts.append(Point(hensel_simple_root(shifted, 4, ring.p, ring.prec), ring(7 * k)))
     for k, seed in ((1, 1), (2, 6)):
         t = Fraction(7 * k)
         v = sum(Fraction(c) * t ** (14 - 2 * j) for j, c in enumerate(curve.coeffs))
@@ -440,7 +456,7 @@ def _scalar_horner(corr, point):
     x, y = point.x, point.y
     acc = None
     for w, poly in correction_polys(corr).items():
-        term = poly.evaluate(x) * y**w
+        term = horner(poly, x) * y**w
         acc = term if acc is None else acc + term
     return acc
 

@@ -198,7 +198,7 @@ def test_local_chart_defining_identity(ex1):
     order = 15
     pt = lift_point(Point(0, 4), ex1, ring)
     chart = local_chart(pt, ex1, ring, order)
-    f = ex1.padic_poly(ring)
+    f = [ring(c) for c in ex1.coeffs]
     lhs = chart.y_series * chart.y_series
     rhs = chart.x_series.compose_poly(f)
     for a, b in zip(lhs.coeffs, rhs.coeffs):
@@ -214,7 +214,7 @@ def test_local_chart_weierstrass_ramification(ex1):
     assert chart.x_series.coeffs[1].is_zero
     assert not chart.x_series.coeffs[2].is_zero
     # y(t)^2 = F(x(t))
-    f = ex1.padic_poly(ring)
+    f = [ring(c) for c in ex1.coeffs]
     lhs = chart.y_series * chart.y_series
     rhs = chart.x_series.compose_poly(f)
     for a, b in zip(lhs.coeffs, rhs.coeffs):
@@ -242,6 +242,18 @@ def test_chart_param_and_point_roundtrip(ex1):
     assert ex1.contains(q)
     t_back = chart.param_of(q)
     assert t_back.congruent(t) is True
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_contains_point_with_negative_x_valuation(ex3_monic, p):
+    # a point of the infinity disc has v(x) = -2, so F(x) is not p-integral
+    curve, _ = ex3_monic
+    n, order = precisions(p)
+    ring = PadicRing(p, n)
+    q = local_chart(INFINITY, curve, ring, order).point_at(ring(p))
+    assert q.x.val < 0
+    assert curve.contains(q)
+    assert not curve.contains(Point(q.x, q.y + ring(p**3)))
 
 
 GOLDEN_CHARTS = Path(__file__).parent / "golden" / "charts.json"

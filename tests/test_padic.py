@@ -1,4 +1,4 @@
-"""Tests for capped-precision p-adic scalars, polynomials and series."""
+"""Tests for capped-precision p-adic scalars, series, Hensel lifting and root finding."""
 
 import random
 from fractions import Fraction
@@ -16,7 +16,6 @@ from ckpoints.errors import (
     ZeroSeed,
 )
 from ckpoints.padic import (
-    PadicPoly,
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
@@ -30,6 +29,8 @@ from ckpoints.padic import (
     solve_linear_system,
     truncated_discriminant,
 )
+
+from conftest import horner
 
 Z7 = PadicRing(7, 18)
 
@@ -150,21 +151,21 @@ def test_hensel_sqrt_non_unit_raises_a_typed_error(a):
 
 
 def test_hensel_simple_root_linear():
-    f = Z7.poly([-5, 1])  # x - 5
-    assert hensel_simple_root(f, 5).lift() == 5
+    f = [-5, 1]  # x - 5
+    assert hensel_simple_root(f, 5, 7, 18).lift() == 5
 
 
 def test_hensel_simple_root_matches_sqrt():
-    f = Z7.poly([-2, 0, 1])  # x^2 - 2
-    r1 = hensel_simple_root(f, 3)
+    f = [-2, 0, 1]  # x^2 - 2
+    r1 = hensel_simple_root(f, 3, 7, 18)
     r2 = hensel_sqrt(Z7(2), 3)
     assert r1.congruent(r2) is True
 
 
 def test_hensel_simple_root_rejects_multiple():
-    f = Z7.poly([0, 0, 1])  # x^2
+    f = [0, 0, 1]  # x^2
     with pytest.raises(NotSimpleRoot):
-        hensel_simple_root(f, 0)
+        hensel_simple_root(f, 0, 7, 18)
 
 
 def test_hensel_simple_root_randomized_true_root():
@@ -183,12 +184,11 @@ def test_hensel_simple_root_randomized_true_root():
         for i, a in enumerate(f_coeffs):
             for j, b in enumerate(quad):
                 prod[i + j] += a * b
-        f = ring.poly(prod)
         df_at = sum(i * prod[i] * root ** (i - 1) for i in range(1, 4))
         if df_at % p == 0:
             continue
-        got = hensel_simple_root(f, r0)
-        val = f.evaluate(got)
+        got = hensel_simple_root(prod, r0, p, 10)
+        val = horner([ring(c) for c in prod], got)
         assert val.is_zero
         assert got.lift() % p == r0 % p
 
@@ -497,14 +497,14 @@ def brute_roots_mod(coeffs, p, k):
 
 
 def test_roots_trivial_product():
-    f = Z7.poly([0, -1, 1])  # x(x-1) = x^2 - x
+    f = [Z7(c) for c in [0, -1, 1]]  # x(x-1) = x^2 - x
     roots = sorted(r.lift() % 7 for r in padic_poly_roots(f))
     assert roots == [0, 1]
 
 
 def test_roots_x2_minus_2_match_brute_force():
     oracle = brute_roots_mod([-2, 0, 1], 7, 4)
-    f = PadicPoly([PadicScalar.from_int(c, 7, 4) for c in [-2, 0, 1]], 7)
+    f = [PadicScalar.from_int(c, 7, 4) for c in [-2, 0, 1]]
     roots = sorted(r.lift() % 7**4 for r in padic_poly_roots(f))
     assert roots == sorted(oracle)
 
@@ -512,7 +512,7 @@ def test_roots_x2_minus_2_match_brute_force():
 def test_roots_x2_plus_3():
     # -3 = 4 = 2^2 mod 7 is a square, so two roots exist
     oracle = brute_roots_mod([3, 0, 1], 7, 4)
-    f = PadicPoly([PadicScalar.from_int(c, 7, 4) for c in [3, 0, 1]], 7)
+    f = [PadicScalar.from_int(c, 7, 4) for c in [3, 0, 1]]
     roots = sorted(r.lift() % 7**4 for r in padic_poly_roots(f))
     assert len(roots) == 2
     assert roots == sorted(oracle)
@@ -527,7 +527,7 @@ def test_roots_agree_with_exhaustive_search_randomized():
         coeffs = [rng.randrange(-40, 40) for _ in range(deg)] + [rng.randrange(1, 10)]
         # skip inputs whose root clusters exceed the precision budget; the
         # contract guarantees simple roots upstream
-        f = PadicPoly([PadicScalar.from_int(c, p, 4) for c in coeffs], p)
+        f = [PadicScalar.from_int(c, p, 4) for c in coeffs]
         try:
             got = sorted(r.lift() % p**4 for r in padic_poly_roots(f))
         except PrecisionExhausted:
@@ -547,7 +547,7 @@ def test_roots_agree_with_exhaustive_search_randomized():
 
 def test_roots_cluster_separation():
     # roots 7 and 14 are congruent mod 7: forces the zoom-in path
-    f = Z7.poly([98, -21, 1])  # (x-7)(x-14)
+    f = [Z7(c) for c in [98, -21, 1]]  # (x-7)(x-14)
     roots = sorted(r.lift_centered() for r in padic_poly_roots(f))
     assert roots == [7, 14]
 
@@ -571,7 +571,7 @@ def test_roots_reach_the_hensel_limit(p, d, extra, root, unit, cofactor):
     f = _times_linear(_times_linear(cofactor, root), other)
     prec = 2 * d + extra
     try:
-        roots = padic_poly_roots(PadicPoly([PadicScalar.from_int(c, p, prec) for c in f], p))
+        roots = padic_poly_roots([PadicScalar.from_int(c, p, prec) for c in f])
     except PrecisionExhausted:
         # g may carry a cluster of its own that prec digits cannot separate
         assume(False)
