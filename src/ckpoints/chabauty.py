@@ -35,7 +35,7 @@ from .curve import (
     lift_point,
     local_chart,
 )
-from .errors import AllSeriesDegenerate, NonTorsionExtra, PrecisionExhausted, ZeroBoundExceeded
+from .errors import AllSeriesDegenerate, InternalInvariant, NonTorsionExtra, PrecisionExhausted, ZeroBoundExceeded
 from .padic import (
     PadicPowerSeries,
     PadicRing,
@@ -134,7 +134,7 @@ def disc_series(
     # zip stops at the g holomorphic pullbacks
     for (shift, pull), offset in zip(chart.omega_pullbacks(), offsets):
         if shift < 0:
-            raise PrecisionExhausted("holomorphic pullback with a pole (internal)")
+            raise InternalInvariant("holomorphic pullback with a pole (internal)")
         anti = formal_integrate(pull.shift_pow(shift) if shift > 0 else pull)
         series.append(anti + PadicPowerSeries.constant(offset, anti.order))
     return DiscSeries(disc, base, chart, series, offsets)

@@ -25,8 +25,11 @@ sum_s b_s F^(-s) with deg b_s < deg F.  Multiplying by W = E F^(-p), with E
 in its F-adic digits, sends level s and digit k to level s + p - k: a
 convolution in the level index, done as one Kronecker-substituted big-int
 product (intpoly.mul_rows) per step, then one division by F per output
-level whose quotient carries one level down.  Division by F is linear, so
-the result is the same residue mod p^Nw as a pair-by-pair product.
+level whose quotient carries one level down.  The last product, by the
+digits of x^(p i + p - 1), goes to the reduction unsplit: there each pole
+level applies two maps built once per F and p^Nw, S(b) = b/F' mod F and
+Q(b) = (b - S(b) F')/F, Q taking in the quotient a split would carry.  All
+of it is linear, so each result is the residue mod p^Nw of the per-pair loop.
 
 Byproducts: the characteristic polynomial of Frobenius (numerator of the
 zeta function), point counts, and the order of the Jacobian over F_p.
@@ -34,12 +37,14 @@ zeta function), point counts, and the order of the Jacobian over F_p.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import HyperellipticCurve, Point, is_prime
-from .errors import BadReduction, PoleAtPoint, PrecisionExhausted, RoundingAmbiguous
+from .errors import BadReduction, InternalInvariant, PoleAtPoint, PrecisionExhausted, RoundingAmbiguous
 from .intpoly import add, divmod_monic, evaluate, mul, mul_rows, scale, trim, xgcd
 from .padic import PadicRing, PadicScalar, ilog, int_valuation
 
@@ -118,6 +123,9 @@ class _ReductionState:
         table[key] = (self.e, add(self._current(cur), poly, self.m) if cur else trim(list(poly)))
 
     def add(self, level: int, poly: list[int]):
+        if level > 0 and len(poly) > 2 * len(self.f) - 3:  # wider than the pole maps
+            quo, poly = divmod_monic(poly, self.f, self.m)
+            self.add(level - 1, quo)
         for _ in range(-level):
             poly = mul(poly, self.f, self.m)
         self._accumulate(self.levels, max(level, 0), poly)
@@ -126,28 +134,15 @@ class _ReductionState:
         """Reduce all pole levels and the level-0 degree to the basis."""
         p, m = self.p, self.m
         two_g = 2 * self.g
+        maps = _pole_maps(tuple(self.f), tuple(self.df), tuple(self.sf), m)
         while (s := max(self.levels, default=0)) > 0:
             b_in = self._current(self.levels.pop(s))
-            if not b_in:
-                continue
-            d = 1 - 2 * s
-            v = int_valuation(d, p)
-            b = mul(b_in, self.sf, m)
-            _, b = divmod_monic(b, self.f, m)
-            num = add(b_in, scale(mul(b, self.df, m), -1, m), m)
-            a, rem = divmod_monic(num, self.f, m)
-            if rem:
-                raise PrecisionExhausted("pole reduction lost exactness (internal)")
-            db = trim([i * b[i] % m for i in range(1, len(b))])
-            self.e += v
-            u_inv = pow(d // p**v, -1, m)
-            # at the raised exponent, dividing by d means multiplying the
-            # pieces built from b_in by the inverse of its unit part
-            carry = add(scale(a, p**v, m), scale(db, -2 * u_inv % m, m), m)
-            corr = scale(b, u_inv, m)
-            if corr:
-                self._accumulate(self.corrections, d, corr)
-            self.add(s - 1, carry)
+            if b_in:
+                v, _, carry, corr = _pole_step(*maps, b_in, s, p, m)
+                self.e += v
+                if corr:
+                    self._accumulate(self.corrections, 1 - 2 * s, corr)
+                self.add(s - 1, carry)
         # level 0: lower the polynomial degree below 2g via d(x^(j-2g) y)
         level0 = self._current(self.levels.pop(0, (self.e, [])))
         while len(level0) - 1 >= two_g:
@@ -171,7 +166,7 @@ class _ReductionState:
                 dj[j - two_g + k - 1] = (dj[j - two_g + k - 1] + k * self.f[k]) % m
             level0 = add(level0, scale(dj, -piece % m, m), m)
             if len(level0) - 1 >= j and level0 and level0[-1] != 0:
-                raise PrecisionExhausted("degree reduction failed to cancel (internal)")
+                raise InternalInvariant("degree reduction failed to cancel (internal)")
             self._accumulate(self.corrections, 1, [0] * (j - two_g) + [piece])
         self.levels[0] = (self.e, level0)
 
@@ -203,6 +198,34 @@ def _reduction_data(curve: HyperellipticCurve, p: int, nw: int):
     return f, df, _lift_poly_inverse(df, sf_p, f, p, nw)
 
 
+@functools.lru_cache(maxsize=4)
+def _pole_maps(f: tuple, df: tuple, sf: tuple, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rows of S: b -> b (F')^(-1) mod F and Q: b -> (b - S(b) F')/F modulo m,
+    on numerators b of up to 2 deg F - 1 coefficients."""
+    n = len(f) - 1
+    cols_s, cols_q = [], []
+    for k in range(2 * n - 1):
+        x_k = [0] * k + [1]
+        _, b = divmod_monic(mul(x_k, sf, m), f, m)
+        a, rem = divmod_monic(add(x_k, scale(mul(b, df, m), -1, m), m), f, m)
+        if rem:
+            raise InternalInvariant("pole reduction map lost exactness (internal)")
+        cols_s.append(b + [0] * (n - len(b)))
+        cols_q.append(a + [0] * (n - 1 - len(a)))
+    return tuple(zip(*cols_s)), tuple(zip(*cols_q))
+
+
+def _pole_step(s_rows, q_rows, b_in: list[int], s: int, p: int, m: int):
+    """(v, b, carry, correction) of b_in at pole level s, 1 - 2s = u p^v: b = S b_in,
+    and at the exponent raised by v, carry p^v Q b_in - 2 b'/u and correction b/u."""
+    v = int_valuation(1 - 2 * s, p)
+    u_inv = pow((1 - 2 * s) // p**v, -1, m)
+    b = [sum(map(operator.mul, row, b_in)) % m for row in s_rows]
+    a = [sum(map(operator.mul, row, b_in)) for row in q_rows]
+    carry = [(p**v * a_i - 2 * u_inv * i * b[i]) % m for i, a_i in enumerate(a, 1)]
+    return v, b, trim(carry), scale(b, u_inv, m)
+
+
 # ---------------------------------------------------------------------------
 # Frobenius action
 # ---------------------------------------------------------------------------
@@ -220,7 +243,6 @@ def frobenius_action(curve: HyperellipticCurve, p: int, precision: int) -> Frobe
         raise BadReduction("p must be an odd prime")
     if not curve.has_good_reduction(p):
         raise BadReduction(f"bad reduction at {p}")
-    g = curve.genus
     n_target = precision
 
     # tail cutoff: term k carries p^(k+1); a single reduction chain divides
@@ -269,7 +291,7 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
     e_poly = []
     for c in diff:
         if c % p != 0:
-            raise PrecisionExhausted("F(x^p) != F(x)^p mod p (internal)")
+            raise InternalInvariant("F(x^p) != F(x)^p mod p (internal)")
         e_poly.append(c // p % m)
     e_poly = trim(e_poly)
 
@@ -282,8 +304,8 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
         mono = [0] * (p * i + p - 1) + [1]
         digits = _fadic_digits(mono, f, m)
         state = _ReductionState(f, df, sf, p, nw, g)
-        for lvl, poly in _level_product(acc, digits, f, m, half_shift).items():
-            state.add(lvl, poly)
+        for lvl, row in _level_sums(acc, digits, m, half_shift).items():
+            state.add(lvl, row)
         state.sweep()
         col, corr = state.published(n_target)
         for j in range(2 * g):
@@ -330,29 +352,33 @@ def _fadic_digits(poly: list[int], f: list[int], m: int) -> list[list[int]]:
     return digits or [[]]
 
 
-def _level_product(rep: dict[int, list[int]], digits, f, m, shift) -> dict[int, list[int]]:
+def _level_sums(rep: dict[int, list[int]], digits, m, shift) -> dict[int, list[int]]:
     """Multiply a level representation by (sum_k digits[k] F^k) * F^(-shift).
 
-    Level l times digit k lands on level l + shift - k; each output level is
-    split once by F, the quotient carrying one level down.  Levels and digits
-    must be reduced into [0, m) with degree < deg F.
+    Level l times digit k lands on level l + shift - k, unsplit: up to
+    2 deg F - 1 coefficients.  Levels and digits must be reduced into [0, m)
+    with degree < deg F.
     """
     if not rep:
         return {}
     low = min(rep)
     rows = [rep.get(lvl, []) for lvl in range(low, max(rep) + 1)]
-    sums = mul_rows(rows, digits[::-1], m)
     base = low + shift - (len(digits) - 1)
+    return {base + n: row for n, row in enumerate(mul_rows(rows, digits[::-1], m))}
+
+
+def _level_product(rep: dict[int, list[int]], digits, f, m, shift) -> dict[int, list[int]]:
+    """_level_sums with each output level split once by F, the quotient carrying one level down."""
     out: dict[int, list[int]] = {}
     carry: list[int] = []
-    for n in range(len(sums) - 1, -1, -1):
-        hi, lo = divmod_monic(sums[n], f, m)
+    for lvl, row in sorted(_level_sums(rep, digits, m, shift).items(), reverse=True):
+        hi, lo = divmod_monic(row, f, m)
         poly = add(lo, carry, m)
         if poly:
-            out[base + n] = poly
+            out[lvl] = poly
         carry = hi
     if carry:
-        out[base - 1] = carry
+        out[lvl - 1] = carry
     return out
 
 

@@ -9,6 +9,10 @@ class PrecisionExhausted(CkError):
     """A result cannot be certified at the available p-adic precision."""
 
 
+class InternalInvariant(CkError):
+    """A check that holds for every valid input failed: a bug, not a precision shortfall."""
+
+
 class NotASquare(CkError):
     """The seed squared does not match the target residue mod p."""
 

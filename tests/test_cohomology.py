@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import correction_polys
+from conftest import EX1_COEFFS, correction_polys
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,7 @@ from ckpoints.curve import (
     lift_point,
     local_chart,
 )
-from ckpoints.errors import BadReduction, PoleAtPoint, PrecisionExhausted
+from ckpoints.errors import BadReduction, InternalInvariant, PoleAtPoint, PrecisionExhausted
 from ckpoints.intpoly import add, divmod_monic, mul, scale, trim
 from ckpoints.padic import PadicPowerSeries, PadicRing, PadicScalar, int_valuation
 
@@ -580,6 +580,69 @@ def test_lazy_sweep_matches_eager_bumps_at_divisible_pole_levels(twin_sweep, ex1
         numer = [rng.randrange(1, p) + p * rng.randrange(p**3) for _ in range(rng.randrange(1, 9))]
         assert reduce_odd_differential(ex1, ring, numer, s)[1].ws
     assert twin_sweep.published_columns == len(levels)
+
+
+@pytest.mark.parametrize("p, s", [(7, 4), (7, 9), (11, 6), (13, 7)])
+def test_wide_numerator_reduces_like_the_eager_sweep(twin_sweep, ex1, p, s):
+    # 14 to 21 coefficients: wider than the pole maps, so the state splits
+    # them by F first; the eager sweep divides them whole
+    rng = random.Random(40 + p + s)
+    ring = PadicRing(p, 12)
+    for width in (14, 17, 21):
+        numer = [rng.randrange(p**6) for _ in range(width - 1)] + [rng.randrange(1, p)]
+        assert reduce_odd_differential(ex1, ring, numer, s)[1].ws
+    assert twin_sweep.published_columns == 3
+
+
+def _split_pole_step(f, df, sf, b_in, s, p, m):
+    """The step before the pole maps: the row split by F, the quotient carried
+    one level down, then two products and two divisions by F."""
+    quo, lo = divmod_monic(b_in, f, m)
+    d = 1 - 2 * s
+    v = int_valuation(d, p)
+    _, b = divmod_monic(mul(lo, sf, m), f, m)
+    a, rem = divmod_monic(add(lo, scale(mul(b, df, m), -1, m), m), f, m)
+    assert rem == []
+    db = trim([i * b[i] % m for i in range(1, len(b))])
+    u_inv = pow(d // p**v, -1, m)
+    carry = add(scale(add(a, quo, m), p**v, m), scale(db, -2 * u_inv % m, m), m)
+    return v, b, carry, scale(b, u_inv, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 11, 13]), nw=st.integers(8, 60))
+def test_pole_step_matches_split_products(data, p, nw):
+    m = p**nw
+    f, df, sf = cohomology._reduction_data(HyperellipticCurve(EX1_COEFFS), p, nw)
+    # every level, or one where p (or p^2) divides 2s - 1
+    s = data.draw(st.one_of(
+        st.integers(1, 12 * p),
+        st.builds(lambda j: p * j + (p + 1) // 2, st.integers(0, 12)),
+        st.builds(lambda j: p * p * j + (p * p + 1) // 2, st.integers(0, 2)),
+    ))
+    b_in = data.draw(st.lists(st.one_of(st.integers(0, m - 1), st.just(0), st.just(m - 1)), min_size=1, max_size=13))
+    maps = cohomology._pole_maps(tuple(f), tuple(df), tuple(sf), m)
+    v, b, carry, corr = cohomology._pole_step(*maps, b_in, s, p, m)
+    assert (v, trim(b), carry, corr) == _split_pole_step(f, df, sf, b_in, s, p, m)
+
+
+def test_wrong_inverse_raises_internal_invariant_after_one_attempt(monkeypatch, ex1):
+    real_data, real_attempt = cohomology._reduction_data, cohomology._frobenius_attempt
+    attempts = []
+
+    def wrong_inverse(curve, p, nw):
+        f, df, sf = real_data(curve, p, nw)
+        return f, df, add(sf, [1], p**nw)  # (F')^(-1) + 1 is no inverse mod (F, p)
+
+    def counted_attempt(*args):
+        attempts.append(args)
+        return real_attempt(*args)
+
+    monkeypatch.setattr(cohomology, "_reduction_data", wrong_inverse)
+    monkeypatch.setattr(cohomology, "_frobenius_attempt", counted_attempt)
+    with pytest.raises(InternalInvariant, match="exactness"):
+        frobenius_action(ex1, 7, 8)
+    assert len(attempts) == 1
 
 
 # -- corrections ---------------------------------------------------------------
