@@ -32,7 +32,6 @@ from .curve import (
     reduce_point,
     scale_to_monic,
     search_rational_points,
-    validate,
 )
 from .cohomology import (
     FrobeniusAction,
@@ -43,7 +42,6 @@ from .cohomology import (
     zeta_char_poly,
 )
 from .coleman import (
-    IntegralVector,
     coleman_integral,
     integral_functional,
     teichmuller_point,
@@ -57,7 +55,6 @@ from .classify import (
     cantor_compose_reduce,
     cantor_scalar_mul,
     classify_point,
-    is_two_torsion_extra,
     rational_reconstruct,
     torsion_order,
 )

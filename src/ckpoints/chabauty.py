@@ -128,7 +128,7 @@ def disc_series(
     ring = PadicRing(fa.p, fa.precision)
     order = precisions(fa.p, fa.precision)[1]
     base = lift_point(disc, curve, ring)
-    offsets = integral_functional(curve, fa, base, order).values
+    offsets = integral_functional(curve, fa, base, order)
     chart = local_chart(base, curve, ring, order)
     series = []
     # zip stops at the g holomorphic pullbacks
@@ -227,13 +227,14 @@ def common_zeros(ds: DiscSeries) -> tuple[list[Point], int]:
     return points, chosen
 
 
+_PRIME_CAP = 100  # the last prime a run escalates to
+
+
 def run_chabauty(
     curve: HyperellipticCurve,
     p: int | None = None,
     known_points: list[Point] | None = None,
     precision: int | None = None,
-    prime_cap: int = 100,
-    fa_cache: dict | None = None,
 ) -> ChabautyOutput:
     """Provably compute the common-zero set and classify it.
 
@@ -242,7 +243,7 @@ def run_chabauty(
     never uses known rational points: they only cross-check the output,
     and one missing from it raises NonTorsionExtra.  When no series in some
     disc has separable roots the run escalates to the next prime of good
-    reduction, up to prime_cap; a starting prime of bad reduction counts as
+    reduction, up to _PRIME_CAP; a starting prime of bad reduction counts as
     one escalation.  More common zeros than Coleman's bound allows raise
     ZeroBoundExceeded.
     """
@@ -257,12 +258,12 @@ def run_chabauty(
     p_current = good_reduction_prime(curve, p if p is not None else 7)
     escalations = 1 if (p is not None and p_current != p) else 0
     while True:
-        if p_current > prime_cap:
+        if p_current > _PRIME_CAP:
             raise PrecisionExhausted(
-                f"no prime below the cap {prime_cap} avoided degenerate series"
+                f"no prime below the cap {_PRIME_CAP} avoided degenerate series"
             )
         try:
-            out = _run_at_prime(curve, p_current, precision, escalations, fa_cache)
+            out = _run_at_prime(curve, p_current, precision, escalations)
             break
         except AllSeriesDegenerate:
             p_current = good_reduction_prime(curve, p_current + 1)
@@ -277,19 +278,15 @@ def run_chabauty(
     return out
 
 
-def _run_at_prime(curve, p, precision, escalations, fa_cache) -> ChabautyOutput:
+def _run_at_prime(curve, p, precision, escalations) -> ChabautyOutput:
     n, order = precisions(p, precision)
-    key = (tuple(curve.coeffs), p, n)
-    fa = None if fa_cache is None else fa_cache.get(key)
-    if fa is None:
-        fa = frobenius_action(curve, p, n)
-        if fa_cache is not None:
-            fa_cache[key] = fa
+    fa = frobenius_action(curve, p, n)
     floor = n - 3
 
+    discs = fp_disc_representatives(curve, p)
     found: list[Point] = []
     disc_logs: list[DiscLog] = []
-    for disc, mirrored in fp_disc_representatives(curve, p):
+    for disc, mirrored in discs:
         zeros, chosen = common_zeros(disc_series(curve, fa, disc))
         local: list[Point] = []
         for z in zeros:
@@ -299,6 +296,10 @@ def _run_at_prime(curve, p, precision, escalations, fa_cache) -> ChabautyOutput:
         for z in local:
             _append_unique(found, z, floor)
     fp_count = curve_count_fp(fa)
+    # a free check of Frobenius: P(T) must count the F_p points of the
+    # discs, one per unmirrored disc and two per mirrored one
+    if fp_count != sum(1 + mirrored for _, mirrored in discs):
+        raise InternalInvariant(f"#C(F_{p}) = {fp_count} from P(T) disagrees with the F_p points")
     # each common zero is a zero of the first integral from infinity, which
     # has at most #C(F_p) + 2g - 2 zeros in C(Q_p) when p > 2g (Coleman)
     coleman_bound = fp_count + 2 * curve.genus - 2

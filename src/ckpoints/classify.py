@@ -7,7 +7,9 @@ reduction library).  Torsion orders are computed in J(F_p) with Cantor's
 composition/reduction algorithm on Mumford representatives, using the group
 order #J(F_p) = P(1) from the zeta module; for odd p of good reduction the
 prime-to-p torsion of J(Q_p) injects under reduction, and the possible
-p-part ambiguity is surfaced as a flag rather than resolved.
+p-part ambiguity is surfaced as a flag rather than resolved.  classify_point
+makes one pass per point: rational reconstruction, else one minimal
+polynomial and one refinement, with y = 0 choosing the verdict.
 """
 
 from __future__ import annotations
@@ -64,30 +66,18 @@ def rational_reconstruct(a: PadicScalar) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# Weierstrass test
-# ---------------------------------------------------------------------------
-
-
-def is_two_torsion_extra(point: Point, curve: HyperellipticCurve) -> bool:
-    """True iff the point is affine with y = 0 to precision (a Weierstrass point).
-
-    Classification precedence is the caller's job: a rational Weierstrass
-    point is reported as rational, not as a 2-torsion extra.
-    """
-    if point.at_infinity:
-        return False
-    return point.y.is_zero
-
-
-# ---------------------------------------------------------------------------
 # Integer relations (minimal polynomial recovery)
 # ---------------------------------------------------------------------------
 
 
-def algebraic_dependency(a: PadicScalar, max_degree: int = 2, slack: int = 3) -> list[int] | None:
-    """Lowest-degree integer polynomial g with g(a) = 0 mod p^(N - slack).
+_MAX_DEGREE = 2  # extras are defined over Q or a quadratic field
+_SLACK = 3  # digits of a that a relation need not match
 
-    Searches degrees 1..max_degree through the relation lattice spanned by
+
+def algebraic_dependency(a: PadicScalar) -> list[int] | None:
+    """Lowest-degree integer polynomial g with g(a) = 0 mod p^(N - _SLACK).
+
+    Searches degrees 1.._MAX_DEGREE through the relation lattice spanned by
     (m, 0, ..), (-a, 1, 0, ..), (-a^2, 0, 1, ..) and keeps a reduced vector
     only when it is decisively shorter than the covolume heuristic allows
     for random input; the accepted polynomial is content-free, irreducible,
@@ -100,7 +90,7 @@ def algebraic_dependency(a: PadicScalar, max_degree: int = 2, slack: int = 3) ->
     p, prec = a.p, a.prec
     m = p**prec
     lift = a.lift()
-    for degree in range(1, max_degree + 1):
+    for degree in range(1, _MAX_DEGREE + 1):
         dim = degree + 1
         basis = [[m] + [0] * degree]
         power = 1
@@ -117,9 +107,9 @@ def algebraic_dependency(a: PadicScalar, max_degree: int = 2, slack: int = 3) ->
                 continue
             if max(abs(c) for c in g) > threshold:
                 continue
-            if evaluate(g, lift, p ** max(prec - slack, 1)) != 0:
+            if evaluate(g, lift, p ** max(prec - _SLACK, 1)) != 0:
                 continue
-            g = _irreducible_or_factor(g, lift, p, prec, slack)
+            g = _irreducible_or_factor(g, lift, p, prec)
             if g is None:
                 continue
             return g
@@ -141,7 +131,7 @@ def _normalize_poly(coeffs: list[int]) -> list[int] | None:
     return coeffs
 
 
-def _irreducible_or_factor(g, lift, p, prec, slack):
+def _irreducible_or_factor(g, lift, p, prec):
     """Return g if irreducible; else its irreducible factor vanishing at a."""
     if len(g) == 2:
         return g
@@ -153,7 +143,7 @@ def _irreducible_or_factor(g, lift, p, prec, slack):
         if s * s != disc:
             return g
         # rational roots: (-b +- s) / (2c); pick the one matching a
-        m = p ** max(prec - slack, 1)
+        m = p ** max(prec - _SLACK, 1)
         for sign in (1, -1):
             num = -g[1] + sign * s
             den = 2 * g[2]
@@ -171,9 +161,10 @@ def _irreducible_or_factor(g, lift, p, prec, slack):
 
 
 _LLL_MAX_ROUNDS = 10000
+_LLL_DELTA = Fraction(3, 4)
 
 
-def _lll(basis: list[list[int]], delta=Fraction(3, 4)) -> list[list[int]]:
+def _lll(basis: list[list[int]]) -> list[list[int]]:
     """Textbook LLL for the tiny lattices used here (dimension <= 4)."""
     b = [list(map(int, row)) for row in basis]
     n = len(b)
@@ -207,7 +198,7 @@ def _lll(basis: list[list[int]], delta=Fraction(3, 4)) -> list[list[int]]:
                 for i in range(j):
                     mu[k][i] -= r * mu[j][i]
                 mu[k][j] -= r
-        if bstar_sq[k] >= (delta - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
+        if bstar_sq[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * bstar_sq[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -347,24 +338,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def torsion_order(point: Point, curve: HyperellipticCurve, fa: FrobeniusAction) -> int:
+def torsion_order(point: Point, curve: HyperellipticCurve, p: int, group_order: int) -> int:
     """Order of [Q-bar - infinity-bar] in J(F_p) for a non-rational extra Q.
 
     Reduction is injective on prime-to-p torsion for odd p of good reduction,
-    so this is the exact torsion order whenever p does not divide #J(F_p);
-    callers surface the p-part caveat via torsion_p_ambiguous.
+    so this is the exact torsion order whenever p does not divide the group
+    order #J(F_p); ClassifiedPoint.order_p_ambiguous flags the other case.
     """
-    p = fa.p
     qbar = reduce_point(point, p)
     if qbar.at_infinity:
         return 1
-    d = MumfordDivisor.from_point(qbar, p)
-    return divisor_order(d, curve, p, jacobian_order_fp(fa))
-
-
-def torsion_p_ambiguous(fa: FrobeniusAction) -> bool:
-    """True when p divides #J(F_p): the p-part of the order is not pinned."""
-    return jacobian_order_fp(fa) % fa.p == 0
+    return divisor_order(MumfordDivisor.from_point(qbar, p), curve, p, group_order)
 
 
 # ---------------------------------------------------------------------------
@@ -388,44 +372,36 @@ class ClassifiedPoint:
     order_p_ambiguous: bool = False
 
 
-def classify_point(
-    point: Point,
-    curve: HyperellipticCurve,
-    fa: FrobeniusAction,
-    max_degree: int = 2,
-) -> ClassifiedPoint:
-    """Steps 4-5 of the driver: identify or reconstruct one found point."""
+def classify_point(point: Point, curve: HyperellipticCurve, fa: FrobeniusAction) -> ClassifiedPoint:
+    """Steps 4-5 of run_chabauty, one pass per point.
+
+    A point whose coordinates reconstruct to a rational point on the curve
+    is rational.  Any other point gets the minimal polynomial of x and one
+    refinement from it; y = 0 then makes it a two-torsion extra (a Weierstrass
+    point), else a higher-torsion extra whose order and p-part flag both come
+    from the one group order #J(F_p).
+    """
     if point.at_infinity:
         return ClassifiedPoint(point, "rational", rational=INFINITY)
     ring = PadicRing(fa.p, fa.precision)
     rx = rational_reconstruct(point.x)
     ry = rational_reconstruct(point.y)
     if rx is not None and ry is not None and curve.f_eval(rx) == ry * ry:
-        exact = Point(rx, ry)
-        if _matches(point, exact, ring):
-            return ClassifiedPoint(_exact_lift(exact, ring), "rational", rational=exact)
-    if is_two_torsion_extra(point, curve):
-        poly = algebraic_dependency(point.x, max_degree)
-        refined = _refine_from_min_poly(point, poly, curve, ring)
-        return ClassifiedPoint(refined, "two-torsion", x_min_poly=poly, order=2)
-    poly = algebraic_dependency(point.x, max_degree)
+        lift = Point(ring(rx), ring(ry))
+        if (point.x - lift.x).is_zero and (point.y - lift.y).is_zero:
+            return ClassifiedPoint(lift, "rational", rational=Point(rx, ry))
+    poly = algebraic_dependency(point.x)
     refined = _refine_from_min_poly(point, poly, curve, ring)
-    order = torsion_order(refined, curve, fa)
+    if point.y.is_zero:
+        return ClassifiedPoint(refined, "two-torsion", x_min_poly=poly, order=2)
+    group_order = jacobian_order_fp(fa)
     return ClassifiedPoint(
         refined,
         "higher-torsion",
         x_min_poly=poly,
-        order=order,
-        order_p_ambiguous=torsion_p_ambiguous(fa),
+        order=torsion_order(refined, curve, fa.p, group_order),
+        order_p_ambiguous=group_order % fa.p == 0,
     )
-
-
-def _matches(point: Point, exact: Point, ring: PadicRing) -> bool:
-    return (point.x - ring(exact.x)).is_zero and (point.y - ring(exact.y)).is_zero
-
-
-def _exact_lift(exact: Point, ring: PadicRing) -> Point:
-    return Point(ring(exact.x), ring(exact.y))
 
 
 def _refine_from_min_poly(point, poly, curve, ring) -> Point:

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .chabauty import precisions
-from .cohomology import frobenius_action, jacobian_order_fp, zeta_char_poly
+from .cohomology import frobenius_action, jacobian_order_fp
 from .coleman import coleman_integral
 from .curve import (
     INFINITY,
@@ -175,9 +175,9 @@ def _cmd_integrate(args) -> int:
     end = _lift_rational_point(_parse_point(args.end), curve, pmap, ring)
     fa = frobenius_action(curve, p, n)
     vec = coleman_integral(curve, fa, start, end)
-    for i, v in enumerate(vec.values):
+    for i, v in enumerate(vec):
         print(f"int x^{i} dx/2y : {v}")
-    print(f"precision achieved: {vec.precision}")
+    print(f"precision achieved: {min(v.prec for v in vec)}")
     return 0
 
 
@@ -202,7 +202,7 @@ def _cmd_frobenius(args) -> int:
         "corrections_terms": [
             {str(w): len(row) for w, row in zip(corr.ws, corr.rows)} for corr in fa.corrections
         ],
-        "zeta_char_poly": zeta_char_poly(fa),
+        "zeta_char_poly": fa.char_poly,
         "jacobian_order_fp": jacobian_order_fp(fa),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

@@ -21,8 +21,10 @@ the shared exponent e and one absolute precision N) and is evaluated by
 one integer Horner modulo p^(N + e).
 
 The series is stored in a level representation {s: b_s(x)} standing for
-sum_s b_s F^(-s) with deg b_s < deg F.  Multiplying by W = E F^(-p), with E
-in its F-adic digits, sends level s and digit k to level s + p - k: a
+sum_s b_s F^(-s) with deg b_s < deg F.  E = (F(x^p) - F(x)^p)/p is never
+formed: F(x^p) = F(x)^p mod p, so the F-adic digits of F(x^p), taken modulo
+p^(Nw+1), are a lone 1 at F^p plus p times the digits of E.  Multiplying by
+W = E F^(-p) sends level s and digit k to level s + p - k: a
 convolution in the level index, done as one Kronecker-substituted big-int
 product (intpoly.mul_rows) per step, then one division by F per output
 level whose quotient carries one level down.  The last product, by the
@@ -32,7 +34,8 @@ Q(b) = (b - S(b) F')/F, Q taking in the quotient a split would carry.  All
 of it is linear, so each result is the residue mod p^Nw of the per-pair loop.
 
 Byproducts: the characteristic polynomial of Frobenius (numerator of the
-zeta function), point counts, and the order of the Jacobian over F_p.
+zeta function), worked out once per FrobeniusAction, and from it the point
+count and the order of the Jacobian over F_p.
 """
 
 from __future__ import annotations
@@ -88,6 +91,11 @@ class FrobeniusAction:
     def genus(self) -> int:
         return self.curve.genus
 
+    @functools.cached_property
+    def char_poly(self) -> list[int]:
+        """zeta_char_poly of this action, computed on first use and kept."""
+        return zeta_char_poly(self)
+
 
 # ---------------------------------------------------------------------------
 # The reduction sweep
@@ -123,9 +131,7 @@ class _ReductionState:
         table[key] = (self.e, add(self._current(cur), poly, self.m) if cur else trim(list(poly)))
 
     def add(self, level: int, poly: list[int]):
-        if level > 0 and len(poly) > 2 * len(self.f) - 3:  # wider than the pole maps
-            quo, poly = divmod_monic(poly, self.f, self.m)
-            self.add(level - 1, quo)
+        """Add poly F^(-level); at a pole level poly has at most 2 deg F - 1 coefficients."""
         for _ in range(-level):
             poly = mul(poly, self.f, self.m)
         self._accumulate(self.levels, max(level, 0), poly)
@@ -158,12 +164,8 @@ class _ReductionState:
                 self.e += v
             u_inv = pow(d // p**v, -1, m)
             piece = c * u_inv % m
-            dj = [0] * (j + 1)
-            if j > two_g:
-                for k in range(len(self.f)):
-                    dj[j - two_g - 1 + k] = (dj[j - two_g - 1 + k] + 2 * (j - two_g) * self.f[k]) % m
-            for k in range(1, len(self.f)):
-                dj[j - two_g + k - 1] = (dj[j - two_g + k - 1] + k * self.f[k]) % m
+            i = j - two_g  # d(x^i y) = [2i x^(i-1) F + x^i F'] dx/(2y)
+            dj = add([0] * (i - 1) + scale(self.f, 2 * i, m), [0] * i + self.df, m)
             level0 = add(level0, scale(dj, -piece % m, m), m)
             if len(level0) - 1 >= j and level0 and level0[-1] != 0:
                 raise InternalInvariant("degree reduction failed to cancel (internal)")
@@ -268,50 +270,34 @@ def frobenius_action(curve: HyperellipticCurve, p: int, precision: int) -> Frobe
 
 def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
     g = curve.genus
-    deg = 2 * g + 1
     m = p**nw
     f, df, sf = _reduction_data(curve, p, nw)
+    acc = _binomial_series(_e_digits(curve, p, nw), f, p, nw, k_max)
 
-    # E = (F(x^p) - F(x)^p)/p, exact mod p^nw
-    m1 = p ** (nw + 1)
-    f1 = [c % m1 for c in f]
-    fxp = [0] * (deg * p + 1)
-    for j, c in enumerate(f1):
-        fxp[j * p] = c
-    fp_pow = [1]
-    base = f1
-    k = p
-    while k:
-        if k & 1:
-            fp_pow = mul(fp_pow, base, m1)
-        k >>= 1
-        if k:
-            base = mul(base, base, m1)
-    diff = add(fxp, scale(fp_pow, -1, m1), m1)
-    e_poly = []
-    for c in diff:
-        if c % p != 0:
-            raise InternalInvariant("F(x^p) != F(x)^p mod p (internal)")
-        e_poly.append(c // p % m)
-    e_poly = trim(e_poly)
-
-    acc = _binomial_series(_fadic_digits(e_poly, f, m), f, p, nw, k_max)
-
-    matrix = [[None] * (2 * g) for _ in range(2 * g)]
-    corrections = []
+    columns, corrections = [], []
     half_shift = (p - 1) // 2
     for i in range(2 * g):
-        mono = [0] * (p * i + p - 1) + [1]
-        digits = _fadic_digits(mono, f, m)
+        digits = _fadic_digits([0] * (p * i + p - 1) + [1], f, m)
         state = _ReductionState(f, df, sf, p, nw, g)
         for lvl, row in _level_sums(acc, digits, m, half_shift).items():
             state.add(lvl, row)
         state.sweep()
         col, corr = state.published(n_target)
-        for j in range(2 * g):
-            matrix[j][i] = col[j]
+        columns.append(col)
         corrections.append(corr)
-    return FrobeniusAction(curve, p, n_target, matrix, corrections)
+    return FrobeniusAction(curve, p, n_target, [list(row) for row in zip(*columns)], corrections)
+
+
+def _e_digits(curve: HyperellipticCurve, p: int, nw: int) -> list[list[int]]:
+    """F-adic digits of E = (F(x^p) - F(x)^p)/p modulo p^nw, read off those of F(x^p)."""
+    m1 = p ** (nw + 1)
+    f1 = curve.fp_coeffs(m1)
+    fxp = [0] * ((len(f1) - 1) * p + 1)
+    fxp[::p] = f1
+    *low, top = _fadic_digits(fxp, f1, m1)
+    if top != [1] or any(c % p for d in low for c in d):
+        raise InternalInvariant("F(x^p) != F(x)^p mod p (internal)")
+    return [[c // p for c in d] for d in low]
 
 
 def _binomial_series(e_digits, f, p, nw, k_max) -> dict[int, list[int]]:
@@ -415,8 +401,11 @@ def reduce_odd_differential(
     """
     p = ring.p
     nw = ring.prec + pole_level + 8
-    state = _ReductionState(*_reduction_data(curve, p, nw), p, nw, curve.genus)
-    state.add(pole_level, trim([c % p**nw for c in numerator]))
+    m = p**nw
+    f, df, sf = _reduction_data(curve, p, nw)
+    state = _ReductionState(f, df, sf, p, nw, curve.genus)
+    for k, digit in enumerate(_fadic_digits([c % m for c in numerator], f, m)):
+        state.add(pole_level - k, digit)
     state.sweep()
     return state.published(ring.prec)
 
@@ -487,13 +476,12 @@ def _trace(a):
 
 def curve_count_fp(fa: FrobeniusAction) -> int:
     """#C(F_p) = p + 1 - a_1 where a_1 is the trace of Frobenius."""
-    coeffs = zeta_char_poly(fa)
-    return fa.p + 1 + coeffs[1]
+    return fa.p + 1 + fa.char_poly[1]
 
 
 def jacobian_order_fp(fa: FrobeniusAction) -> int:
     """#J(F_p) = P(1)."""
-    order = sum(zeta_char_poly(fa))
+    order = sum(fa.char_poly)
     if order <= 0:
         raise RoundingAmbiguous("P(1) <= 0: zeta coefficients cannot be Weil numbers")
     return order

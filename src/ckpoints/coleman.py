@@ -18,8 +18,6 @@ infinity and the absence of a Frobenius lift on Weierstrass discs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cohomology import FrobeniusAction, evaluate_correction
 from .curve import (
     HyperellipticCurve,
@@ -38,28 +36,6 @@ from .padic import (
     ilog,
     solve_linear_system,
 )
-
-
-@dataclass
-class IntegralVector:
-    """Values of int_start^end of x^i dx/(2y) for i = 0 .. 2g-1.
-
-    The holomorphic block (i < g) is what the rational point search consumes;
-    when an endpoint is exactly the point at infinity the i >= g entries are
-    the regularized values for which int_infinity^(iota R) = -int_infinity^R.
-    """
-
-    values: list[PadicScalar]
-    p: int
-    precision: int
-
-
-def _vector(values, p) -> IntegralVector:
-    return IntegralVector(values, p, min(v.prec for v in values))
-
-
-def _zero_vector(curve, ring) -> IntegralVector:
-    return _vector([ring.zero() for _ in range(2 * curve.genus)], ring.p)
 
 
 def series_order(p: int, n: int) -> int:
@@ -104,8 +80,8 @@ def tiny_integral(
     end: Point,
     ring: PadicRing,
     order: int,
-) -> IntegralVector:
-    """Integrals between two points in a single residue disc.
+) -> list[PadicScalar]:
+    """Integrals of x^i dx/(2y), i = 0..2g-1, between two points in one residue disc.
 
     Pulls each basis differential back along the disc chart, integrates
     formally, and evaluates between the chart parameters of the endpoints.
@@ -114,7 +90,7 @@ def tiny_integral(
     """
     p = ring.p
     if start.at_infinity and end.at_infinity:
-        return _zero_vector(curve, ring)
+        return [ring.zero() for _ in range(2 * curve.genus)]
     if start.at_infinity or end.at_infinity:
         raise PoleAtPoint("tiny integral with an exact infinity endpoint diverges for i >= g")
     if reduce_point(start, p) != reduce_point(end, p):
@@ -122,10 +98,7 @@ def tiny_integral(
     chart = local_chart(start, curve, ring, order)
     t0 = chart.param_of(start)
     t1 = chart.param_of(end)
-    values = []
-    for shift, series in chart.omega_pullbacks():
-        values.append(_integrate_pullback(series, shift, t0, t1, ring))
-    return _vector(values, p)
+    return [_integrate_pullback(series, shift, t0, t1, ring) for shift, series in chart.omega_pullbacks()]
 
 
 def _integrate_pullback(series, shift, t0, t1, ring) -> PadicScalar:
@@ -182,23 +155,26 @@ def coleman_integral(
     start: Point,
     end: Point,
     order: int | None = None,
-) -> IntegralVector:
-    """Coleman integral of every basis differential from start to end."""
+) -> list[PadicScalar]:
+    """Coleman integral of every basis differential from start to end.
+
+    When an endpoint is exactly the point at infinity the i >= g entries are
+    the regularized values for which int_infinity^(iota R) = -int_infinity^R.
+    """
     ring, order = _ring_and_order(fa, order)
-    p = ring.p
     if _same_point(start, end):
-        return _zero_vector(curve, ring)
+        return [ring.zero() for _ in range(2 * curve.genus)]
     # an exact Weierstrass center has integral 0 from infinity; the other
     # end's integral is returned as is rather than less a capped zero
     if _is_weierstrass_center(start):
-        return _vector(_from_infinity(curve, fa, end, ring, order), p)
+        return _from_infinity(curve, fa, end, ring, order)
     if _is_weierstrass_center(end):
-        return _vector([-v for v in _from_infinity(curve, fa, start, ring, order)], p)
-    if reduce_point(start, p) == reduce_point(end, p):
+        return [-v for v in _from_infinity(curve, fa, start, ring, order)]
+    if reduce_point(start, ring.p) == reduce_point(end, ring.p):
         return tiny_integral(curve, start, end, ring, order)
     to_end = _from_infinity(curve, fa, end, ring, order)
     to_start = _from_infinity(curve, fa, start, ring, order)
-    return _vector([a - b for a, b in zip(to_end, to_start)], p)
+    return [a - b for a, b in zip(to_end, to_start)]
 
 
 def _ring_and_order(fa: FrobeniusAction, order: int | None) -> tuple[PadicRing, int]:
@@ -218,7 +194,7 @@ def _from_infinity(curve, fa, point, ring, order) -> list[PadicScalar]:
     if _in_weierstrass_disc(point, ring.p):
         inv2 = ring.one().div_int(2)
         mirror = tiny_integral(curve, involution(point), point, ring, order)
-        return [v * inv2 for v in mirror.values]
+        return [v * inv2 for v in mirror]
     teich = teichmuller_point(point, curve, ring)
     n = 2 * curve.genus
     one = ring.one()
@@ -229,7 +205,7 @@ def _from_infinity(curve, fa, point, ring, order) -> list[PadicScalar]:
     rhs = [-evaluate_correction(corr, teich) for corr in fa.corrections]
     head = solve_linear_system(a, rhs, ring.p)
     tail = tiny_integral(curve, teich, point, ring, order)
-    return [h + t for h, t in zip(head, tail.values)]
+    return [h + t for h, t in zip(head, tail)]
 
 
 def integral_functional(
@@ -237,8 +213,7 @@ def integral_functional(
     fa: FrobeniusAction,
     point: Point,
     order: int | None = None,
-) -> IntegralVector:
+) -> list[PadicScalar]:
     """The holomorphic triple int_infinity^point of x^i dx/2y, i = 0..g-1."""
     ring, order = _ring_and_order(fa, order)
-    values = _from_infinity(curve, fa, point, ring, order)
-    return _vector(values[: curve.genus], fa.p)
+    return _from_infinity(curve, fa, point, ring, order)[: curve.genus]

@@ -21,7 +21,7 @@ from .errors import (
     PrecisionExhausted,
     SingularModel,
 )
-from .intpoly import evaluate, xgcd
+from .intpoly import evaluate
 from .padic import (
     PadicPowerSeries,
     PadicRing,
@@ -52,19 +52,11 @@ class Point:
 INFINITY = Point(at_infinity=True)
 
 
-def involution(point: Point, p: int | None = None) -> Point:
+def involution(point: Point) -> Point:
     """The hyperelliptic involution (x, y) -> (x, -y); fixes infinity."""
     if point.at_infinity:
         return INFINITY
-    y = point.y
-    if isinstance(y, int):
-        if p is None:
-            ny = -y
-        else:
-            ny = (-y) % p
-    else:
-        ny = -y
-    return Point(point.x, ny)
+    return Point(point.x, -point.y)
 
 
 class HyperellipticCurve:
@@ -107,14 +99,8 @@ class HyperellipticCurve:
         return PadicScalar.from_int(evaluate(self.fp_coeffs(m), x.lift(), m), x.p, x.prec)
 
     def has_good_reduction(self, p: int) -> bool:
-        if p < 3:
-            return False
-        for c in self.coeffs:
-            if c.denominator % p == 0:
-                return False
-        fbar = self.fp_coeffs(p)
-        dbar = [i * fbar[i] % p for i in range(1, len(fbar))]
-        return xgcd(fbar, dbar, p)[0] == [1]
+        """p odd, F p-integral and squarefree mod p: p does not divide disc(F)."""
+        return p >= 3 and all(c.denominator % p for c in self.coeffs) and self.disc.numerator % p != 0
 
     def contains(self, point: Point) -> bool:
         """Exact check for rational points; precision check for p-adic ones."""
@@ -132,11 +118,6 @@ class HyperellipticCurve:
 
     def __repr__(self):
         return f"HyperellipticCurve(genus={self.genus}, coeffs={list(self.coeffs)})"
-
-
-def validate(coeffs) -> HyperellipticCurve:
-    """Check monic, odd degree, squarefree; returns the validated curve."""
-    return HyperellipticCurve(coeffs)
 
 
 @dataclass(frozen=True)

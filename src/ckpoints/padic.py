@@ -53,7 +53,8 @@ class PadicScalar:
     """An element of Q_p known modulo p^prec.
 
     Stored as unit * p^val with the unit coprime to p, reduced modulo
-    p^(prec - val).  unit == 0 encodes zero-to-precision, i.e. O(p^prec).
+    p^(prec - val).  unit == 0 encodes zero-to-precision, i.e. O(p^prec),
+    and then val = prec, a lower bound on the valuation.
     """
 
     __slots__ = ("p", "val", "unit", "prec")
@@ -110,11 +111,6 @@ class PadicScalar:
     def is_zero(self) -> bool:
         """True when the value is indistinguishable from 0 at its precision."""
         return self.unit == 0
-
-    @property
-    def valuation(self) -> int:
-        """Exact valuation for nonzero values; a lower bound (= prec) for zero."""
-        return self.val
 
     def congruent(self, other, required: int | None = None):
         """Three-valued equality: True / False / None (undecidable).

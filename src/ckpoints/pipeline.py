@@ -238,10 +238,9 @@ def emit_report(report: BatchReport, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _record_payload(rec: CurveRecord, with_disc_table=True) -> dict:
+def _record_payload(rec: CurveRecord) -> dict:
     payload = {k: getattr(rec, k) for k in _CSV_FIELDS}
-    if with_disc_table:
-        payload["disc_table"] = rec.disc_table
+    payload["disc_table"] = rec.disc_table
     if rec.timings:
         payload["timings"] = rec.timings
     return payload

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from ckpoints import chabauty
+from ckpoints.cohomology import frobenius_action
 from ckpoints.curve import HyperellipticCurve, scale_to_monic
 from ckpoints.padic import PadicScalar
 
@@ -35,6 +37,23 @@ EX2_COEFFS = [
 # non-monic input model y^2 = 8x^7 - 16x^5 - 7x^4 + 4x^3 + 6x^2 + 4x + 1;
 # six rational points, sharp for the mod-p point count bound
 EX3_RAW_COEFFS = [1, 4, 6, 4, -7, -16, 0, 8]
+
+
+_ACTIONS: dict = {}
+
+
+def shared_action(curve, p, n):
+    """frobenius_action(curve, p, n), computed once per session."""
+    key = (tuple(curve.coeffs), p, n)
+    if key not in _ACTIONS:
+        _ACTIONS[key] = frobenius_action(curve, p, n)
+    return _ACTIONS[key]
+
+
+@pytest.fixture
+def shared_actions(monkeypatch):
+    """run_chabauty takes its Frobenius actions from the session memo."""
+    monkeypatch.setattr(chabauty, "frobenius_action", shared_action)
 
 
 @pytest.fixture(scope="session")

@@ -39,16 +39,7 @@ from ckpoints.curve import (
     search_rational_points,
 )
 from ckpoints.padic import PadicRing, PadicScalar, formal_integrate, padic_poly_roots
-from conftest import EX3_RAW_COEFFS
-
-FA_CACHE: dict = {}
-
-
-def _fa(curve, p, n):
-    key = (tuple(curve.coeffs), p, n)
-    if key not in FA_CACHE:
-        FA_CACHE[key] = frobenius_action(curve, p, n)
-    return FA_CACHE[key]
+from conftest import EX3_RAW_COEFFS, shared_action
 
 
 def _as_tuple(point):
@@ -57,10 +48,10 @@ def _as_tuple(point):
     return (Fraction(point.x), Fraction(point.y))
 
 
-def test_criterion_1_example1_reproduction(ex1):
+def test_criterion_1_example1_reproduction(ex1, shared_actions):
     t0 = time.monotonic()
     known = search_rational_points(ex1, 1000)
-    out = run_chabauty(ex1, 7, known, fa_cache=FA_CACHE)
+    out = run_chabauty(ex1, 7, known)
     assert out.prime == 7 and out.precision == 18 and out.t_precision == 15
     got = {_as_tuple(c.rational) for c in out.rational}
     assert got == {("inf",), (Fraction(32), Fraction(0))}
@@ -80,9 +71,9 @@ def test_criterion_1_example1_reproduction(ex1):
     print(f"\nPASS criterion 1: example 1 reproduced exactly in {elapsed:.1f}s")
 
 
-def test_criterion_2_example2_reproduction(ex2):
+def test_criterion_2_example2_reproduction(ex2, shared_actions):
     known = search_rational_points(ex2, 100)
-    out = run_chabauty(ex2, 7, known, fa_cache=FA_CACHE)
+    out = run_chabauty(ex2, 7, known)
     assert {_as_tuple(c.rational) for c in out.rational} == {("inf",)}
     assert out.two_torsion_extras == []
     assert len(out.higher_torsion_extras) == 2
@@ -97,10 +88,10 @@ def test_criterion_2_example2_reproduction(ex2):
     print("\nPASS criterion 2: example 2 reproduced (x = -1/8, order 18)")
 
 
-def test_criterion_3_example3_reproduction():
+def test_criterion_3_example3_reproduction(shared_actions):
     curve, pmap = scale_to_monic(EX3_RAW_COEFFS)
     known = search_rational_points(curve, 1000)
-    out = run_chabauty(curve, 7, known, fa_cache=FA_CACHE)
+    out = run_chabauty(curve, 7, known)
     back = {_as_tuple(pmap.backward(c.rational)) for c in out.rational}
     assert back == {
         ("inf",),
@@ -147,7 +138,7 @@ def test_criterion_5_coleman_property_suite(ex1, ex2, ex3_monic):
     ring = PadicRing(p, n)
     rng = random.Random(555)
     curves = [ex1, ex2, ex3_monic[0]]
-    fas = {id(c): _fa(c, p, n) for c in curves}
+    fas = {id(c): shared_action(c, p, n) for c in curves}
     charts: dict = {}
 
     def disc_point(curve, pbar, offset):
@@ -187,7 +178,7 @@ def test_criterion_5_coleman_property_suite(ex1, ex2, ex3_monic):
         a, b = rand_point(curve), rand_point(curve)
         ab = coleman_integral(curve, fas[id(curve)], a, b)
         ba = coleman_integral(curve, fas[id(curve)], b, a)
-        for x, y in zip(ab.values, ba.values):
+        for x, y in zip(ab, ba):
             assert_small(x + y)
         pairs += 1
     # additivity over random midpoints
@@ -198,7 +189,7 @@ def test_criterion_5_coleman_property_suite(ex1, ex2, ex3_monic):
         ab = coleman_integral(curve, fa, a, b)
         bc = coleman_integral(curve, fa, b, c)
         ac = coleman_integral(curve, fa, a, c)
-        for x, y, z in zip(ab.values, bc.values, ac.values):
+        for x, y, z in zip(ab, bc, ac):
             assert_small(x + y - z)
         pairs += 1
     # involution antisymmetry
@@ -208,7 +199,7 @@ def test_criterion_5_coleman_property_suite(ex1, ex2, ex3_monic):
         fa = fas[id(curve)]
         ab = coleman_integral(curve, fa, a, b)
         mirrored = coleman_integral(curve, fa, involution(a), involution(b))
-        for x, y in zip(ab.values, mirrored.values):
+        for x, y in zip(ab, mirrored):
             assert_small(x + y)
         pairs += 1
     # involution halving: from a Weierstrass point, the integral is half
@@ -225,26 +216,26 @@ def test_criterion_5_coleman_property_suite(ex1, ex2, ex3_monic):
         mid = rand_point(curve, non_weier=True)
         leg1 = coleman_integral(curve, fa, involution(q), mid)
         leg2 = coleman_integral(curve, fa, mid, q)
-        for d, x, y in zip(direct.values, leg1.values, leg2.values):
+        for d, x, y in zip(direct, leg1, leg2):
             assert_small(d + d - x - y)
         pairs += 1
     assert pairs >= 200
     print(f"\nPASS criterion 5: Coleman properties held on {pairs} point pairs")
 
 
-def test_criterion_6_robustness_invariances(ex1):
+def test_criterion_6_robustness_invariances(ex1, shared_actions):
     known = search_rational_points(ex1, 1000)
-    base = run_chabauty(ex1, 7, known, fa_cache=FA_CACHE)
+    base = run_chabauty(ex1, 7, known)
     base_set = {_as_tuple(c.rational) for c in base.rational}
 
-    bigger_prime = run_chabauty(ex1, 11, known, fa_cache=FA_CACHE)
+    bigger_prime = run_chabauty(ex1, 11, known)
     assert bigger_prime.prime == 11
     assert {_as_tuple(c.rational) for c in bigger_prime.rational} == base_set
 
-    doubled = run_chabauty(ex1, 7, known, precision=36, fa_cache=FA_CACHE)
+    doubled = run_chabauty(ex1, 7, known, precision=36)
     assert {_as_tuple(c.rational) for c in doubled.rational} == base_set
 
-    unseeded = run_chabauty(ex1, 7, [], fa_cache=FA_CACHE)
+    unseeded = run_chabauty(ex1, 7, [])
     assert {_as_tuple(c.rational) for c in unseeded.rational} == base_set
     assert len(unseeded.two_torsion_extras) == len(base.two_torsion_extras)
     assert len(unseeded.higher_torsion_extras) == len(base.higher_torsion_extras)
@@ -276,7 +267,7 @@ def test_criterion_8_oracle_equivalence(ex1):
         b = chart.point_at(ring(7 * rng.randrange(1, 7)))
         lo = tiny_integral(ex1, a, b, ring, 15)
         hi = tiny_integral(ex1, a, b, ring, 30)
-        for x, y in zip(lo.values, hi.values):
+        for x, y in zip(lo, hi):
             d = x - y
             assert d.is_zero or d.val >= min(x.prec, y.prec)
 
@@ -306,7 +297,7 @@ def test_criterion_8_oracle_equivalence(ex1):
         done += 1
 
     # Cantor orders divide the Jacobian order from the zeta polynomial
-    fa = _fa(ex1, 7, 18)
+    fa = shared_action(ex1, 7, 18)
     group_order = jacobian_order_fp(fa)
     pts = [q for q in enumerate_fp_points(ex1, 7) if not q.at_infinity]
     for pbar in pts:

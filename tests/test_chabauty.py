@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ckpoints import chabauty
+from ckpoints import chabauty, cohomology
 from ckpoints.chabauty import (
     _strassmann_bound,
     common_zeros,
@@ -24,7 +24,7 @@ from ckpoints.curve import (
     involution,
     search_rational_points,
 )
-from ckpoints.errors import AllSeriesDegenerate, PrecisionExhausted, ZeroBoundExceeded
+from ckpoints.errors import AllSeriesDegenerate, InternalInvariant, PrecisionExhausted, ZeroBoundExceeded
 from ckpoints.intpoly import taylor_shift
 from ckpoints.padic import (
     PadicPowerSeries,
@@ -33,13 +33,12 @@ from ckpoints.padic import (
     formal_integrate,
     padic_poly_roots,
 )
-
-FA_CACHE: dict = {}
+from conftest import shared_action
 
 
 @pytest.fixture(scope="module")
 def fa1(ex1):
-    return frobenius_action(ex1, 7, 18)
+    return shared_action(ex1, 7, 18)
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +121,8 @@ def test_common_zeros_trivial_triple(ex1, fa1):
     assert (zeros[0].x - ds.base.x).is_zero
 
 
-def test_run_chabauty_example1(ex1, known1):
-    out = run_chabauty(ex1, 7, known1, fa_cache=FA_CACHE)
+def test_run_chabauty_example1(ex1, known1, shared_actions):
+    out = run_chabauty(ex1, 7, known1)
     assert [_as_tuple(c.rational) for c in out.rational] == [("inf",), (32, 0)]
     assert out.two_torsion_extras == []
     assert out.higher_torsion_extras == []
@@ -132,9 +131,9 @@ def test_run_chabauty_example1(ex1, known1):
     assert {d.x for d in no_root_discs} == {0, 1, 2, 6}
 
 
-def test_run_chabauty_example2(ex2):
+def test_run_chabauty_example2(ex2, shared_actions):
     known = search_rational_points(ex2, 100)
-    out = run_chabauty(ex2, 7, known, fa_cache=FA_CACHE)
+    out = run_chabauty(ex2, 7, known)
     assert [_as_tuple(c.rational) for c in out.rational] == [("inf",)]
     assert out.two_torsion_extras == []
     assert len(out.higher_torsion_extras) == 2
@@ -146,10 +145,10 @@ def test_run_chabauty_example2(ex2):
         assert c.order == 18
 
 
-def test_run_chabauty_example2_at_raised_precision(ex2):
+def test_run_chabauty_example2_at_raised_precision(ex2, shared_actions):
     # the series tail must clear the higher vanishing floor N - 3 = 27
-    base = run_chabauty(ex2, 7, [], fa_cache=FA_CACHE)
-    out = run_chabauty(ex2, 7, [], precision=30, fa_cache=FA_CACHE)
+    base = run_chabauty(ex2, 7, [])
+    out = run_chabauty(ex2, 7, [], precision=30)
     assert out.precision == 30 and out.t_precision == 27
     assert [_as_tuple(c.rational) for c in out.rational] == [
         _as_tuple(c.rational) for c in base.rational
@@ -160,10 +159,10 @@ def test_run_chabauty_example2_at_raised_precision(ex2):
     ]
 
 
-def test_run_chabauty_example3(ex3_monic):
+def test_run_chabauty_example3(ex3_monic, shared_actions):
     curve, pmap = ex3_monic
     known = search_rational_points(curve, 1000)
-    out = run_chabauty(curve, 7, known, fa_cache=FA_CACHE)
+    out = run_chabauty(curve, 7, known)
     back = {_as_tuple(pmap.backward(c.rational)) for c in out.rational}
     assert back == {
         ("inf",),
@@ -177,9 +176,9 @@ def test_run_chabauty_example3(ex3_monic):
     assert not out.two_torsion_extras and not out.higher_torsion_extras
 
 
-def test_seedless_run_identical(ex1, known1):
-    seeded = run_chabauty(ex1, 7, known1, fa_cache=FA_CACHE)
-    unseeded = run_chabauty(ex1, 7, [], fa_cache=FA_CACHE)
+def test_seedless_run_identical(ex1, known1, shared_actions):
+    seeded = run_chabauty(ex1, 7, known1)
+    unseeded = run_chabauty(ex1, 7, [])
     assert [_as_tuple(c.rational) for c in seeded.rational] == [
         _as_tuple(c.rational) for c in unseeded.rational
     ]
@@ -187,15 +186,15 @@ def test_seedless_run_identical(ex1, known1):
     assert len(seeded.higher_torsion_extras) == len(unseeded.higher_torsion_extras)
 
 
-def test_soundness_known_points_in_output(ex1, ex3_monic, known1):
-    out = run_chabauty(ex1, 7, known1, fa_cache=FA_CACHE)
+def test_soundness_known_points_in_output(ex1, ex3_monic, known1, shared_actions):
+    out = run_chabauty(ex1, 7, known1)
     got = {_as_tuple(c.rational) for c in out.rational}
     for kp in known1:
         assert _as_tuple(kp) in got
 
 
-def test_output_closed_under_involution(ex2):
-    out = run_chabauty(ex2, 7, [], fa_cache=FA_CACHE)
+def test_output_closed_under_involution(ex2, shared_actions):
+    out = run_chabauty(ex2, 7, [])
     pts = [c.point for c in out.higher_torsion_extras]
     for pt in pts:
         mirror = involution(pt)
@@ -204,8 +203,8 @@ def test_output_closed_under_involution(ex2):
         )
 
 
-def test_outputs_satisfy_curve_equation(ex2):
-    out = run_chabauty(ex2, 7, [], fa_cache=FA_CACHE)
+def test_outputs_satisfy_curve_equation(ex2, shared_actions):
+    out = run_chabauty(ex2, 7, [])
     for c in out.rational + out.two_torsion_extras + out.higher_torsion_extras:
         assert ex2.contains(c.point)
 
@@ -244,10 +243,10 @@ def test_all_series_degenerate_raises(ex1, fa1):
         common_zeros(ds)
 
 
-def test_example2_rational_list_prime_invariant(ex2):
+def test_example2_rational_list_prime_invariant(ex2, shared_actions):
     # at p = 11 the quadratic field of the torsion points has no 11-adic
     # embedding, so the extras may differ; the rational list may not
-    out = run_chabauty(ex2, 11, search_rational_points(ex2, 100), fa_cache=FA_CACHE)
+    out = run_chabauty(ex2, 11, search_rational_points(ex2, 100))
     assert out.prime == 11
     assert [_as_tuple(c.rational) for c in out.rational] == [("inf",)]
 
@@ -269,16 +268,12 @@ def test_disc_series_seeded_at_noncentral_base():
     assert not (ds.chart.center.x - ring(1)).is_zero
     vec = integral_functional(curve, fa, Point(ring(1), ring(7)))
     for i in range(3):
-        assert (ds.series_value(t_base, i) - vec.values[i]).is_zero
+        assert (ds.series_value(t_base, i) - vec[i]).is_zero
 
 
 def _fa(curve, p):
-    # keyed as run_chabauty keys its cache, so the driver tests reuse it
-    n = precisions(p)[0]
-    key = (tuple(curve.coeffs), p, n)
-    if key not in FA_CACHE:
-        FA_CACHE[key] = frobenius_action(curve, p, n)
-    return FA_CACHE[key]
+    # the run_chabauty tests take the same actions through shared_actions
+    return shared_action(curve, p, precisions(p)[0])
 
 
 def _reduce(point, p):
@@ -328,7 +323,7 @@ def test_seedless_series_vanish_at_known_points(ex1, ex3_monic):
     assert off_center == 4
 
 
-def test_off_center_roots_claim_only_known_digits(ex3_monic):
+def test_off_center_roots_claim_only_known_digits(ex3_monic, shared_actions):
     # at p = 11 the root of the truncated series for (-24, -512) is wrong in
     # its last digits; claimed at full precision, the point failed rational
     # reconstruction and was reported as a torsion extra
@@ -343,7 +338,7 @@ def test_off_center_roots_claim_only_known_digits(ex3_monic):
         assert any(
             (z.x - ring(pt.x)).is_zero and (z.y - ring(pt.y)).is_zero for z in zeros
         )
-    out = run_chabauty(curve, 11, known, fa_cache=FA_CACHE)
+    out = run_chabauty(curve, 11, known)
     assert len(out.rational) == 6 and not out.higher_torsion_extras
 
 
@@ -417,8 +412,8 @@ def test_more_roots_than_the_strassmann_bound_raise(ex1, fa1, monkeypatch):
         common_zeros(ds)
 
 
-def test_coleman_bound_fires_on_a_padded_zero_list(ex1, monkeypatch):
-    out = run_chabauty(ex1, 7, [], fa_cache=FA_CACHE)
+def test_coleman_bound_fires_on_a_padded_zero_list(ex1, monkeypatch, shared_actions):
+    out = run_chabauty(ex1, 7, [])
     found = len(out.rational) + len(out.two_torsion_extras) + len(out.higher_torsion_extras)
     coleman_bound = out.fp_count + 2 * ex1.genus - 2
     # distinct fake points with y = 0, which the involution maps to themselves
@@ -431,7 +426,30 @@ def test_coleman_bound_fires_on_a_padded_zero_list(ex1, monkeypatch):
 
     monkeypatch.setattr(chabauty, "common_zeros", padded)
     with pytest.raises(ZeroBoundExceeded, match="Coleman"):
-        run_chabauty(ex1, 7, [], fa_cache=FA_CACHE)
+        run_chabauty(ex1, 7, [])
+
+
+def test_run_chabauty_computes_p_of_t_once(ex2, monkeypatch):
+    # #C(F_p) for Coleman's bound and #J(F_p) for both order-18 extras all
+    # read the one P(T) cached on the action
+    calls = []
+    real = cohomology.zeta_char_poly
+    monkeypatch.setattr(cohomology, "zeta_char_poly", lambda fa: calls.append(fa) or real(fa))
+    out = run_chabauty(ex2, 7)
+    assert [c.order for c in out.higher_torsion_extras] == [18, 18]
+    assert len(calls) == 1
+
+
+def test_char_poly_off_by_one_fails_the_point_count_check(ex1, monkeypatch):
+    real = cohomology.zeta_char_poly
+
+    def off_by_one(fa):
+        coeffs = real(fa)
+        return [coeffs[0], coeffs[1] + 1, *coeffs[2:]]
+
+    monkeypatch.setattr(cohomology, "zeta_char_poly", off_by_one)
+    with pytest.raises(InternalInvariant, match="P\\(T\\)"):
+        run_chabauty(ex1, 7)
 
 
 def _discriminant_common_zeros(ds):

@@ -14,13 +14,13 @@ from ckpoints.classify import (
     cantor_scalar_mul,
     classify_point,
     divisor_order,
-    is_two_torsion_extra,
     rational_reconstruct,
     torsion_order,
 )
 from ckpoints.chabauty import run_chabauty
 from ckpoints.cohomology import frobenius_action, jacobian_order_fp
 from ckpoints.curve import (
+    INFINITY,
     HyperellipticCurve,
     Point,
     enumerate_fp_points,
@@ -31,7 +31,7 @@ from ckpoints.curve import (
 from ckpoints.errors import LatticeReductionStalled, NotSimpleRoot, NotTorsionConsistent
 from ckpoints.padic import PadicRing, hensel_sqrt
 
-from conftest import f_horner
+from conftest import f_horner, shared_action
 
 Z7 = PadicRing(7, 18)
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
@@ -88,13 +88,13 @@ def test_reconstruct_output_is_always_valid():
 
 
 def test_is_two_torsion_extra(ex1):
+    # the two-torsion verdict needs y = 0 and a point that is not rational
+    fa = shared_action(ex1, 7, 18)
     w = lift_point(Point(4, 0), ex1, Z7)
-    assert is_two_torsion_extra(w, ex1)  # Weierstrass; final verdict is rational
+    assert classify_point(w, ex1, fa).verdict == "rational"  # Weierstrass, but rational
     nonw = lift_point(Point(0, 4), ex1, Z7)
-    assert not is_two_torsion_extra(nonw, ex1)
-    from ckpoints.curve import INFINITY
-
-    assert not is_two_torsion_extra(INFINITY, ex1)
+    assert classify_point(nonw, ex1, fa).verdict == "higher-torsion"
+    assert classify_point(INFINITY, ex1, fa).verdict == "rational"
 
 
 def test_two_torsion_from_split_quadratic_factor():
@@ -107,10 +107,14 @@ def test_two_torsion_from_split_quadratic_factor():
             prod[i + j] += a * b
     curve = HyperellipticCurve(prod)
     x = hensel_sqrt(Z7(2), 3)
-    pt = Point(x, Z7.zero())
-    assert is_two_torsion_extra(pt, curve)
     assert rational_reconstruct(x) is None
     assert algebraic_dependency(x) == [-2, 0, 1]
+    # 7 divides disc(F); at 17, where 2 is a square too, the Weierstrass
+    # point (sqrt(2), 0) is classified as a two-torsion extra
+    ring = PadicRing(17, 12)
+    w = Point(hensel_sqrt(ring(2), 6), ring.zero())
+    c = classify_point(w, curve, frobenius_action(curve, 17, 12))
+    assert (c.verdict, c.x_min_poly, c.order) == ("two-torsion", [-2, 0, 1], 2)
 
 
 # -- algebraic dependency ---------------------------------------------------------
@@ -341,13 +345,13 @@ def test_torsion_order_example2(ex2):
     seed = next(s for s in range(1, 7) if s * s % 7 == f_at.lift() % 7)
     y = hensel_sqrt(f_at, seed)
     q = Point(x, y)
-    assert torsion_order(q, ex2, fa) == 18
+    assert torsion_order(q, ex2, 7, jacobian_order_fp(fa)) == 18
 
 
 def test_torsion_order_weierstrass_is_two(ex1):
     fa = frobenius_action(ex1, 7, 8)
     w = lift_point(Point(4, 0), ex1, Z7)
-    assert torsion_order(w, ex1, fa) == 2
+    assert torsion_order(w, ex1, 7, jacobian_order_fp(fa)) == 2
 
 
 # -- classification ----------------------------------------------------------------

@@ -361,6 +361,30 @@ def test_level_product_edge_cases():
     assert _level_product(single, [], f, m, p) == {}
 
 
+def _e_digits_by_powering(curve, p, nw):
+    """E = (F(x^p) - F(x)^p)/p with F(x)^p by binary powering mod p^(nw+1),
+    then its F-adic digits modulo p^nw."""
+    m, m1 = p**nw, p ** (nw + 1)
+    f1 = curve.fp_coeffs(m1)
+    fxp = [0] * (7 * p + 1)
+    fxp[::p] = f1
+    power, base, k = [1], f1, p
+    while k:
+        if k & 1:
+            power = mul(power, base, m1)
+        base, k = mul(base, base, m1), k >> 1
+    diff = add(fxp, scale(power, -1, m1), m1)
+    assert all(c % p == 0 for c in diff)
+    return _fadic_digits(trim([c // p % m for c in diff]), [c % m for c in f1], m)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_e_digits_match_the_powering_oracle(ex1, ex2, ex3_monic, p):
+    for curve in (ex1, ex2, ex3_monic[0]):
+        for nw in (12, 4 * p + 30):
+            assert cohomology._e_digits(curve, p, nw) == _e_digits_by_powering(curve, p, nw)
+
+
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_binomial_series_matches_full_modulus_loop(p):
     # the series carries W^k modulo p^(nw-k-1) only; the sum must still be

@@ -20,33 +20,34 @@ from ckpoints.curve import (
     global_height,
     good_reduction_prime,
     involution,
+    is_prime,
     lift_point,
     local_chart,
     parse_curve_line,
     reduce_point,
     scale_to_monic,
     search_rational_points,
-    validate,
 )
 from ckpoints.errors import NotMonic, ParseError, SingularModel
+from ckpoints.intpoly import xgcd
 from ckpoints.padic import PadicRing
 
 from conftest import EX1_COEFFS, EX3_RAW_COEFFS
 
 
 def test_validate_simple_ok():
-    c = validate([1, 0, 0, 0, 0, 0, 0, 1])  # y^2 = x^7 + 1
+    c = HyperellipticCurve([1, 0, 0, 0, 0, 0, 0, 1])  # y^2 = x^7 + 1
     assert c.genus == 3
 
 
 def test_validate_singular():
     with pytest.raises(SingularModel):
-        validate([0, 0, 0, 0, 0, 0, 0, 1])  # y^2 = x^7
+        HyperellipticCurve([0, 0, 0, 0, 0, 0, 0, 1])  # y^2 = x^7
 
 
 def test_validate_not_monic():
     with pytest.raises(NotMonic):
-        validate([1, 0, 0, 0, 0, 0, 0, 2])
+        HyperellipticCurve([1, 0, 0, 0, 0, 0, 0, 2])
 
 
 def test_validate_example1(ex1):
@@ -466,8 +467,15 @@ def test_global_height():
     assert global_height(INFINITY) == 0.0
 
 
+def _fp_mirror(q, p):
+    """The involution on F_p points: negate y, then reduce mod p."""
+    r = involution(q)
+    return r if r.at_infinity else Point(r.x, r.y % p)
+
+
 def test_involution():
-    assert involution(Point(0, 4), 7) == Point(0, 3)
+    assert involution(Point(0, 4)) == Point(0, -4)
+    assert _fp_mirror(Point(0, 4), 7) == Point(0, 3)
     assert involution(INFINITY) == INFINITY
     assert involution(involution(Point(Fraction(1), Fraction(2)))) == Point(
         Fraction(1), Fraction(2)
@@ -478,7 +486,7 @@ def test_involution_fixed_points(ex1):
     fixed = [
         q
         for q in enumerate_fp_points(ex1, 7)
-        if involution(q, 7) == q
+        if _fp_mirror(q, 7) == q
     ]
     assert all(q.at_infinity or q.y == 0 for q in fixed)
     assert INFINITY in fixed
@@ -493,6 +501,32 @@ def test_parse_curve_line(ex1):
         parse_curve_line("[1, 2, bad]")
     # non-monic lines parse fine; rescaling happens downstream
     assert parse_curve_line("[1,4,6,4,-7,-16,0,8]") == [Fraction(c) for c in EX3_RAW_COEFFS]
+
+
+def _good_reduction_by_gcd(curve, p):
+    """Oracle: p odd, F p-integral and gcd(F, F') = 1 over F_p."""
+    if p < 3 or any(c.denominator % p == 0 for c in curve.coeffs):
+        return False
+    fbar = curve.fp_coeffs(p)
+    return xgcd(fbar, [i * fbar[i] % p for i in range(1, len(fbar))], p)[0] == [1]
+
+
+def test_good_reduction_by_discriminant_matches_the_gcd_oracle():
+    rng = random.Random(300)
+    curves = bad = 0
+    while curves < 60:
+        coeffs = [Fraction(rng.randrange(-30, 31), rng.choice([1, 1, 2, 3, 4, 5, 9])) for _ in range(7)]
+        try:
+            curve = HyperellipticCurve(coeffs + [1])
+        except SingularModel:
+            continue
+        curves += 1
+        for p in range(2, 60):
+            if is_prime(p):
+                good = curve.has_good_reduction(p)
+                assert good == _good_reduction_by_gcd(curve, p), (coeffs, p)
+                bad += p > 2 and not good
+    assert bad > 100  # bad reduction at odd primes is exercised too
 
 
 def test_good_reduction_prime_skips_7_and_11():
