@@ -210,7 +210,11 @@ def _cmd_frobenius(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("CK_LOG", "WARNING").upper())
+    level = os.environ.get("CK_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # a name maps to its number
+        print(f"error: CK_LOG={level} is not a log level", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level.upper())
     parser = _build_parser()
     try:
         args = parser.parse_args(_glue_point_values(sys.argv[1:] if argv is None else argv))

@@ -24,12 +24,14 @@ The series is stored in a level representation {s: b_s(x)} standing for
 sum_s b_s F^(-s) with deg b_s < deg F.  E = (F(x^p) - F(x)^p)/p is never
 formed: F(x^p) = F(x)^p mod p, so the F-adic digits of F(x^p), taken modulo
 p^(Nw+1), are a lone 1 at F^p plus p times the digits of E.  Multiplying by
-W = E F^(-p) sends level s and digit k to level s + p - k: a
-convolution in the level index, done as one Kronecker-substituted big-int
-product (intpoly.mul_rows) per step, then one division by F per output
-level whose quotient carries one level down.  The last product, by the
-digits of x^(p i + p - 1), goes to the reduction unsplit: there each pole
-level applies two maps built once per F and p^Nw, S(b) = b/F' mod F and
+W = E F^(-p) sends level s and digit k to level s + p - k: a convolution in
+the level index, done as one Kronecker-substituted big-int product
+(intpoly.mul_rows), then one division by F per output level whose quotient
+carries one level down.  The series takes about 2 sqrt(k_max) such
+products, not k_max: the baby steps W^0 .. W^b, then Horner in Y = W^b,
+with Y itself read as a digit list.  The last product, by the digits of
+x^(p i + p - 1), goes to the reduction unsplit: there each pole level
+applies two maps built once per F and p^Nw, S(b) = b/F' mod F and
 Q(b) = (b - S(b) F')/F, Q taking in the quotient a split would carry.  All
 of it is linear, so each result is the residue mod p^Nw of the per-pair loop.
 
@@ -304,27 +306,36 @@ def _binomial_series(e_digits, f, p, nw, k_max) -> dict[int, list[int]]:
     """sum_{k <= k_max} C_k p^(k+1) W^k modulo p^nw, W = E * F^(-p).
 
     C_k = (-1)^k binom(2k, k) / 4^k; the result is a level representation
-    {pole level s: numerator polynomial of degree <= 2g}.
+    {pole level s: numerator polynomial of degree <= 2g}.  Baby-step
+    giant-step (Paterson-Stockmeyer): the powers W^0 .. W^b, b =
+    isqrt(k_max) + 1, then Horner in Y = W^b over blocks of b terms,
+    R_j = sum_i C_(jb+i) p^(i+1) W^i + p^b Y R_(j+1), so the sum is R_0.
+    R_j enters it times p^(jb) and W^i (Y too) at least times p^i, so
+    carrying them modulo p^(nw-jb) and p^(nw-i) drops only digits
+    multiplied away: the sum is the same residue modulo p^nw.
     """
-    m = p**nw
+    b = math.isqrt(k_max) + 1
+    powers = [{0: [1]}]
+    for i in range(1, b + 1):
+        mk = p ** (nw - i)
+        prev = {lvl: [c % mk for c in poly] for lvl, poly in powers[-1].items()}
+        powers.append(_level_product(prev, [[c % mk for c in d] for d in e_digits], [c % mk for c in f], mk, p))
+    y = powers.pop()
+    hi = max(y, default=0)  # Y as one digit list: digit k is its row at level hi - k
+    y_digits = [y.get(hi - k, []) for k in range(hi - min(y, default=1) + 1)]
     acc: dict[int, list[int]] = {}
-    t_rep: dict[int, list[int]] = {0: [1]}
-    for k in range(k_max + 1):
-        ck = (-1) ** k * math.comb(2 * k, k)
-        scalar = ck * pow(pow(4, -1, m), k, m) % m * pow(p, k + 1, m) % m
-        for lvl, poly in t_rep.items():
-            scaled = scale(poly, scalar, m)
-            if scaled:
-                cur = acc.get(lvl)
-                acc[lvl] = add(cur, scaled, m) if cur else scaled
-        if k == k_max:
-            break
-        # W^(k+1) enters the sum only times p^(k+2), so carrying it modulo
-        # p^(nw-k-2) drops digits that are multiplied away: acc is the same
-        # residue modulo p^nw
-        mk = p ** (nw - k - 2)
-        t_rep = {lvl: [c % mk for c in poly] for lvl, poly in t_rep.items()}
-        t_rep = _level_product(t_rep, [[c % mk for c in d] for d in e_digits], [c % mk for c in f], mk, p)
+    for j in range(k_max // b, -1, -1):
+        mj = p ** (nw - j * b)
+        if acc:
+            mk = mj // p**b
+            acc = _level_product(acc, [[c % mk for c in d] for d in y_digits], [c % mk for c in f], mk, hi)
+            acc = {lvl: scale(poly, p**b, mj) for lvl, poly in acc.items()}
+        for i, w_i in enumerate(powers[: k_max - j * b + 1]):
+            k = j * b + i
+            scalar = (-1) ** k * math.comb(2 * k, k) * pow(4, -k, mj) * p ** (i + 1) % mj
+            for lvl, poly in w_i.items():
+                acc[lvl] = add(acc.get(lvl, []), scale(poly, scalar, mj), mj)
+        acc = {lvl: poly for lvl, poly in acc.items() if poly}
     return acc
 
 

@@ -160,9 +160,7 @@ def process_curve(args) -> CurveRecord:
             "search_seconds": round(t1 - t0, 3),
             "chabauty_seconds": round(t2 - t1, 3),
         }
-    except CkError as exc:
-        rec.status = f"error: {exc}"
-    except Exception as exc:  # per-curve failures never kill the batch
+    except Exception as exc:  # per-curve failures never kill the batch; the type names the kind
         rec.status = f"error: {type(exc).__name__}: {exc}"
     return rec
 

@@ -404,6 +404,86 @@ def test_binomial_series_matches_full_modulus_loop(p):
     assert {lvl: poly for lvl, poly in got.items() if poly} == {lvl: poly for lvl, poly in acc.items() if poly}
 
 
+def _binomial_series_stepwise(e_digits, f, p, nw, k_max):
+    """The series one power of W at a time: k_max products, W^(k+1) carried
+    modulo p^(nw-k-2)."""
+    m = p**nw
+    acc: dict[int, list[int]] = {}
+    t_rep: dict[int, list[int]] = {0: [1]}
+    for k in range(k_max + 1):
+        ck = (-1) ** k * math.comb(2 * k, k)
+        scalar = ck * pow(pow(4, -1, m), k, m) % m * pow(p, k + 1, m) % m
+        for lvl, poly in t_rep.items():
+            scaled = scale(poly, scalar, m)
+            if scaled:
+                cur = acc.get(lvl)
+                acc[lvl] = add(cur, scaled, m) if cur else scaled
+        if k == k_max:
+            break
+        # W^(k+1) enters the sum only times p^(k+2), so carrying it modulo
+        # p^(nw-k-2) drops digits that are multiplied away: acc is the same
+        # residue modulo p^nw
+        mk = p ** (nw - k - 2)
+        t_rep = {lvl: [c % mk for c in poly] for lvl, poly in t_rep.items()}
+        t_rep = _level_product(t_rep, [[c % mk for c in d] for d in e_digits], [c % mk for c in f], mk, p)
+    return acc
+
+
+def _nonempty(rep):
+    return {lvl: poly for lvl, poly in rep.items() if poly}
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_binomial_series_matches_stepwise_loop(p):
+    # with b = isqrt(k_max) + 1: k_max < b (0, 1), k_max = J b so that the top
+    # block holds one term (2, 12), a partial top block (7) and full blocks (the rest)
+    rng = random.Random(110 + p)
+    for k_max in (0, 1, 2, 3, 5, 7, 8, 12, 15, 24, 35):
+        nw = k_max + rng.choice((2, 5, 12))
+        m = p**nw
+        f = [rng.randrange(m) for _ in range(7)] + [1]
+        e_digits = [trim([rng.randrange(m) for _ in range(rng.randrange(0, 8))]) for _ in range(p)]
+        got = _binomial_series(e_digits, f, p, nw, k_max)
+        assert got == _nonempty(_binomial_series_stepwise(e_digits, f, p, nw, k_max))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_binomial_series_degenerate_e(p):
+    rng = random.Random(130 + p)
+    for k_max in (0, 3, 8, 24):
+        nw = k_max + 9
+        m = p**nw
+        f = [rng.randrange(m) for _ in range(7)] + [1]
+        # E = 0 (trimmed or not): only the k = 0 term p survives
+        for zero in ([[] for _ in range(p)], [[0] * 7 for _ in range(p)]):
+            assert _binomial_series(zero, f, p, nw, k_max) == {0: [p]}
+        # a single nonzero digit; divisible by p^(nw // 2), W^1 survives the
+        # carried modulus and W^2 and every higher power vanish
+        for unit in (1, p ** (nw // 2)):
+            e_digits = [[] for _ in range(p)]
+            e_digits[rng.randrange(p)] = [rng.randrange(1, m // unit) * unit for _ in range(7)]
+            got = _binomial_series(e_digits, f, p, nw, k_max)
+            assert got == _nonempty(_binomial_series_stepwise(e_digits, f, p, nw, k_max))
+
+
+class _SeriesArgs(Exception):
+    pass
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_binomial_series_matches_stepwise_loop_on_the_fixtures(ex1, ex2, ex3_monic, p, monkeypatch):
+    # the E digits, nw and k_max that frobenius_action itself passes
+    def capture(*args):
+        raise _SeriesArgs(args)
+
+    monkeypatch.setattr(cohomology, "_binomial_series", capture)
+    for curve in (ex1, ex2, ex3_monic[0]):
+        with pytest.raises(_SeriesArgs) as caught:
+            frobenius_action(curve, p, 2 * p + 4)
+        args = caught.value.args[0]
+        assert _binomial_series(*args) == _nonempty(_binomial_series_stepwise(*args))
+
+
 def _action_triples(fa):
     def triple(c):
         return [c.val, c.unit, c.prec]
@@ -419,15 +499,23 @@ def _action_triples(fa):
     }
 
 
-def test_frobenius_action_matches_golden(ex3_monic):
-    """Every matrix entry and correction coefficient, as (val, unit, prec)."""
-    curve, _ = ex3_monic
-    golden = json.loads(GOLDEN_FROBENIUS.read_text())
+def _assert_actions_match(curve, golden_path):
+    golden = json.loads(golden_path.read_text())
     assert golden["curve"] == [str(c) for c in curve.coeffs]
     for expected in golden["actions"]:
         p = expected["p"]
         assert expected["precision"] == 2 * p + 4
         assert _action_triples(frobenius_action(curve, p, 2 * p + 4)) == expected
+
+
+def test_frobenius_action_matches_golden(ex3_monic):
+    """Every matrix entry and correction coefficient, as (val, unit, prec)."""
+    _assert_actions_match(ex3_monic[0], GOLDEN_FROBENIUS)
+
+
+def test_frobenius_action_matches_golden_p13(ex3_monic):
+    # the series block size is isqrt(k_max) + 1: 6 at p = 7 and 11, 7 at p = 13
+    _assert_actions_match(ex3_monic[0], GOLDEN_FROBENIUS.with_name("frobenius_ex3_p13.json"))
 
 
 # -- the lazy-exponent sweep against the eager one ----------------------------

@@ -1,6 +1,7 @@
 """Tests for ingestion, batch processing, report emission, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ckpoints.chabauty
 import ckpoints.pipeline
 from ckpoints import cli
 from ckpoints.curve import PointMap
@@ -30,6 +32,7 @@ GOLDEN_TEXT = GOLDEN.with_suffix(".txt")
 GOLDEN_CSV = GOLDEN.with_suffix(".csv")
 GOLDEN_POINTS = GOLDEN.with_name("search_points_h10000.txt")
 GOLDEN_FROBENIUS = GOLDEN.with_name("frobenius_cli.txt")
+GOLDEN_FROBENIUS_P13 = GOLDEN.with_name("frobenius_cli_p13.txt")
 GOLDEN_INTEGRATE = GOLDEN.with_name("integrate_cli.txt")
 
 
@@ -207,20 +210,41 @@ def test_off_model_back_mapped_point_fails_the_record(monkeypatch):
     monkeypatch.setattr(ckpoints.pipeline, "scale_to_monic", wrong_map)
     coeffs = [Fraction(c) for c in EX3_RAW_COEFFS]
     rec = process_curve((0, coeffs, RunConfig(height_bound=10)))
-    assert rec.status.startswith("error: back-mapped point (")
+    assert rec.status.startswith("error: CkError: back-mapped point (")
     assert rec.status.endswith(") is not on the input model")
+
+
+def test_internal_fault_names_its_type_in_the_record(monkeypatch):
+    # an off-by-one point count trips the P(T) check inside run_chabauty
+    real = ckpoints.chabauty.curve_count_fp
+    monkeypatch.setattr(ckpoints.chabauty, "curve_count_fp", lambda fa: real(fa) + 1)
+    rec = process_curve((0, [Fraction(c) for c in EX3_RAW_COEFFS], RunConfig(height_bound=10)))
+    assert rec.status.startswith("error: InternalInvariant: #C(F_7) = ")
+    assert rec.status.endswith(" from P(T) disagrees with the F_p points")
 
 
 # -- CLI ------------------------------------------------------------------------
 
 
-def _run_cli(*args):
+def _run_cli(*args, **env):
     return subprocess.run(
         [sys.executable, "-m", "ckpoints.cli", *args],
         capture_output=True,
         text=True,
         timeout=900,
+        env={**os.environ, **env},
     )
+
+
+def test_cli_bad_ck_log_is_a_usage_error():
+    # in a subprocess: under pytest the root logger has handlers already, so
+    # basicConfig would not even read the level
+    argv = ("search-points", "--curve", "[1,4,6,4,-7,-16,0,8]", "--height-bound", "10")
+    res = _run_cli(*argv, CK_LOG="bogus")
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: CK_LOG=bogus is not a log level\n")
+    res = _run_cli(*argv, CK_LOG="info")
+    assert res.returncode == 0
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_search_points():
@@ -360,17 +384,25 @@ def test_cli_integrate_matches_golden(capsys):
     assert "".join(out) == GOLDEN_INTEGRATE.read_text()
 
 
-def test_cli_frobenius_matches_golden(capsys):
-    # written before the corrections went flat: it pins the key sets and
-    # the row lengths of every correction, trimmed modulo p^Nw
+def _cli_frobenius_on_fixtures(capsys, primes):
     out = []
-    for p in ("7", "11"):
+    for p in primes:
         for line in FIXTURE.read_text().splitlines():
             if line.startswith("#"):
                 continue
             assert cli.main(["frobenius", "--curve", line, "--prime", p]) == 0
             out.append(f"# --prime {p} --curve {line}\n" + capsys.readouterr().out)
-    assert "".join(out) == GOLDEN_FROBENIUS.read_text()
+    return "".join(out)
+
+
+def test_cli_frobenius_matches_golden(capsys):
+    # written before the corrections went flat: it pins the key sets and
+    # the row lengths of every correction, trimmed modulo p^Nw
+    assert _cli_frobenius_on_fixtures(capsys, ("7", "11")) == GOLDEN_FROBENIUS.read_text()
+
+
+def test_cli_frobenius_p13_matches_golden(capsys):
+    assert _cli_frobenius_on_fixtures(capsys, ("13",)) == GOLDEN_FROBENIUS_P13.read_text()
 
 
 def test_cli_run_p11_matches_golden(tmp_path):
