@@ -9,16 +9,40 @@ reducing pole orders and degrees against the relations
     d(b y^(1-2s)) = [2 b' F + (1-2s) b F'] y^(-2s) dx/(2y)
     d(x^(j-2g) y) = [2(j-2g) x^(j-2g-1) F + x^(j-2g) F'] dx/(2y).
 
-The hot loops run on plain integers modulo p^Nw under a running power-of-p
-denominator p^e: every division by an odd integer u*p^v raises e by v and
-multiplies the divided term by the inverse of u.  Each stored polynomial
-keeps the exponent it was stored at and is multiplied by p to the
-difference when it is next read or published, so all stored integers stay
-exact representatives modulo p^Nw and the published precision Nw - e is a
-guaranteed lower bound.  Only the 2g x 2g matrix becomes PadicScalars; each
-correction f_i stays flat (Correction: one integer row per odd y-exponent,
-the shared exponent e and one absolute precision N) and is evaluated by
-one integer Horner modulo p^(N + e).
+The hot loops run on plain integers modulo p^Nw, each a residue of the
+p-adic value it stands for; there is no running denominator.  Only the
+2g x 2g matrix becomes PadicScalars; each correction f_i stays flat
+(Correction: one integer row per odd y-exponent and one absolute precision
+N) and is evaluated by one integer Horner.
+
+Why Nw = N + (a few digits) suffices.  The sweep below the series is
+linear: pole level s applies its carry map M_s and its correction map
+C_s = S/(1 - 2s), level 0 its degree steps, and nothing else happens but
+reducing modulo p^Nw.  Each such reduction changes a value by a multiple
+of p^Nw at the level where it happens, and the rest of the sweep carries
+that change to the outputs through the composite of the maps below it:
+M_1 ... M_s into the matrix, C_t M_(t+1) ... M_s into the correction at
+level t, and the level-0 steps after either.  Kedlaya's estimate for the
+reduction (Kedlaya, J. Ramanujan Math. Soc. 16, 2001; Harvey, "Kedlaya's
+algorithm in larger characteristic", IMRN 2007) bounds the denominators
+of every such composite from pole levels up to s_max by
+p^floor(log_p(2 s_max + 1)), and those of the level-0 steps by
+p^floor(log_p(d_max)), d_max the largest odd number they divide by.  So
+every output is right modulo p^(Nw - loss), loss the sum of the two; this
+is precision tracked through the differential of a linear map (Caruso,
+Roe and Vaccon, "Tracking p-adic precision", 2014) rather than step by
+step.  The tests compute the composites and check the bound.
+
+The divisions themselves are exact.  Each value divided (S b at pole level
+s by p^v(1 - 2s), a leading coefficient at level 0 by p^v(2j - 2g + 1)) is
+the image of the inputs under such a composite times a p-adic unit, so it
+is divisible whenever the inputs carry its denominator.  Series term k
+carries p^(k+1) and reaches no level above p k + (p - 1)/2; for p > 2g
+that covers floor(log_p(2s - 1)) at every level s plus the one digit the
+level-0 steps can take (d_max < p^2 there, 47 at p = 7).  For p <= 2g the
+inputs are multiplied by p^loss first and the results divided by it (the
+headroom, Correction.e).  A remainder therefore means a bug, and raises
+InternalInvariant, not PrecisionExhausted.
 
 The series is stored in a level representation {s: b_s(x)} standing for
 sum_s b_s F^(-s) with deg b_s < deg F.  E = (F(x^p) - F(x)^p)/p is never
@@ -34,6 +58,7 @@ x^(p i + p - 1), goes to the reduction unsplit: there each pole level
 applies two maps built once per F and p^Nw, S(b) = b/F' mod F and
 Q(b) = (b - S(b) F')/F, Q taking in the quotient a split would carry.  All
 of it is linear, so each result is the residue mod p^Nw of the per-pair loop.
+The six final products share one packing of the series (intpoly.mul_rows_each).
 
 Byproducts: the characteristic polynomial of Frobenius (numerator of the
 zeta function), worked out once per FrobeniusAction, and from it the point
@@ -45,12 +70,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import HyperellipticCurve, Point, is_prime
-from .errors import BadReduction, InternalInvariant, PoleAtPoint, PrecisionExhausted, RoundingAmbiguous
-from .intpoly import add, divmod_monic, evaluate, mul, mul_rows, scale, trim, xgcd
+from .errors import BadReduction, InternalInvariant, PoleAtPoint, RoundingAmbiguous
+from .intpoly import add, divmod_monic, evaluate, mul, mul_rows_each, scale, trim, xgcd
 from .padic import PadicRing, PadicScalar, ilog, int_valuation
 
 
@@ -59,8 +85,10 @@ class Correction:
     """f = sum_w q_w(x) y^w with every coefficient of q_w equal to r / p^e.
 
     ws are the sorted odd y-exponents and rows[k] holds the residues r of
-    q_{ws[k]} modulo p^(prec + e): f is known to absolute precision prec.
-    val is the least valuation of a coefficient (prec when all vanish).
+    q_{ws[k]} modulo p^(prec + e), trimmed; a q_w that vanishes modulo
+    p^prec has no row.  f is known to absolute precision prec.  e is the
+    sweep's headroom, 0 for p > 2g.  val is the least valuation of a
+    coefficient (prec when all vanish).
     """
 
     p: int
@@ -105,13 +133,11 @@ class FrobeniusAction:
 
 
 class _ReductionState:
-    """Mutable state for one reduction: levels, corrections, running scale.
+    """Mutable state for one reduction: levels (level 0 included) and
+    corrections, every value a plain residue modulo p^nw of the p-adic
+    value times p^headroom."""
 
-    levels (level 0 included) and corrections hold (exponent, polynomial)
-    entries, the polynomial standing for its value times p^exponent.
-    """
-
-    def __init__(self, fints, dints, sfints, p, nw, genus):
+    def __init__(self, fints, dints, sfints, p, nw, genus, headroom=0):
         self.f = fints
         self.df = dints
         self.sf = sfints  # (F')^{-1} mod F
@@ -119,24 +145,17 @@ class _ReductionState:
         self.nw = nw
         self.m = p**nw
         self.g = genus
-        self.e = 0  # running power-of-p denominator
-        self.levels: dict[int, tuple[int, list[int]]] = {}
-        self.corrections: dict[int, tuple[int, list[int]]] = {}
-
-    def _current(self, entry) -> list[int]:
-        """An entry's polynomial rescaled to the running exponent."""
-        e, poly = entry
-        return poly if e == self.e else scale(poly, self.p ** (self.e - e), self.m)
-
-    def _accumulate(self, table, key: int, poly: list[int]):
-        cur = table.get(key)
-        table[key] = (self.e, add(self._current(cur), poly, self.m) if cur else trim(list(poly)))
+        self.headroom = headroom
+        self.levels: dict[int, list[int]] = {}
+        self.corrections: dict[int, list[int]] = {}
 
     def add(self, level: int, poly: list[int]):
         """Add poly F^(-level); at a pole level poly has at most 2 deg F - 1 coefficients."""
+        if self.headroom:
+            poly = scale(poly, self.p**self.headroom, self.m)
         for _ in range(-level):
             poly = mul(poly, self.f, self.m)
-        self._accumulate(self.levels, max(level, 0), poly)
+        _accumulate(self.levels, max(level, 0), poly, self.m)
 
     def sweep(self):
         """Reduce all pole levels and the level-0 degree to the basis."""
@@ -144,51 +163,59 @@ class _ReductionState:
         two_g = 2 * self.g
         maps = _pole_maps(tuple(self.f), tuple(self.df), tuple(self.sf), m)
         while (s := max(self.levels, default=0)) > 0:
-            b_in = self._current(self.levels.pop(s))
+            b_in = self.levels.pop(s)
             if b_in:
-                v, _, carry, corr = _pole_step(*maps, b_in, s, p, m)
-                self.e += v
+                carry, corr = _pole_step(*maps, b_in, s, p, m)
                 if corr:
-                    self._accumulate(self.corrections, 1 - 2 * s, corr)
-                self.add(s - 1, carry)
+                    _accumulate(self.corrections, 1 - 2 * s, corr, m)
+                _accumulate(self.levels, s - 1, carry, m)
         # level 0: lower the polynomial degree below 2g via d(x^(j-2g) y)
-        level0 = self._current(self.levels.pop(0, (self.e, [])))
+        level0 = self.levels.pop(0, [])
         while len(level0) - 1 >= two_g:
             j = len(level0) - 1
-            c = level0[j]
-            if c == 0:
-                level0.pop()
-                continue
-            d = 2 * j - two_g + 1
-            v = int_valuation(d, p)
-            if v:
-                level0 = scale(level0, p**v, m)
-                self.e += v
-            u_inv = pow(d // p**v, -1, m)
-            piece = c * u_inv % m
+            piece = _divide_exactly([level0[j]], 2 * j - two_g + 1, p, m)[0]
             i = j - two_g  # d(x^i y) = [2i x^(i-1) F + x^i F'] dx/(2y)
             dj = add([0] * (i - 1) + scale(self.f, 2 * i, m), [0] * i + self.df, m)
             level0 = add(level0, scale(dj, -piece % m, m), m)
-            if len(level0) - 1 >= j and level0 and level0[-1] != 0:
+            if len(level0) - 1 >= j:
                 raise InternalInvariant("degree reduction failed to cancel (internal)")
-            self._accumulate(self.corrections, 1, [0] * (j - two_g) + [piece])
-        self.levels[0] = (self.e, level0)
+            _accumulate(self.corrections, 1, [0] * i + [piece], m)
+        self.levels[0] = level0
 
-    def published(self, n_target: int) -> tuple[list[PadicScalar], Correction]:
-        """Basis coefficients as PadicScalars and the flat correction, at n_target."""
-        achieved = self.nw - self.e
-        if achieved < n_target:
-            raise PrecisionExhausted(f"achieved {achieved} < requested {n_target}")
-        level0 = (self._current(self.levels[0]) + [0] * (2 * self.g))[: 2 * self.g]
-        col = [PadicScalar.from_int(c, self.p, self.nw).shift(-self.e).cap(n_target) for c in level0]
-        top = self.p ** (n_target + self.e)
+    def published(self, n_target: int, loss: int) -> tuple[list[PadicScalar], Correction]:
+        """Basis coefficients as PadicScalars and the flat correction, at
+        min(n_target, nw - loss - headroom) digits: a sweep that can lose loss
+        digits to its divisions leaves the rest of the nw right."""
+        h = self.headroom
+        prec = min(n_target, self.nw - loss - h)
+        level0 = (self.levels[0] + [0] * (2 * self.g))[: 2 * self.g]
+        col = [PadicScalar.from_int(c, self.p, self.nw).shift(-h).cap(prec) for c in level0]
+        top = self.p ** (prec + h)
         ws, rows = [], []
-        for w, entry in sorted(self.corrections.items()):
-            poly = self._current(entry)
-            if poly:
+        for w, poly in sorted(self.corrections.items()):
+            if row := trim([c % top for c in poly]):
                 ws.append(w)
-                rows.append([c % top for c in poly])
-        return col, Correction(self.p, ws, rows, self.e, n_target)
+                rows.append(row)
+        return col, Correction(self.p, ws, rows, h, prec)
+
+
+def _accumulate(table: dict[int, list[int]], key: int, poly: list[int], m: int):
+    cur = table.get(key)
+    table[key] = add(cur, poly, m) if cur else trim(list(poly))
+
+
+def _divide_exactly(values: list[int], d: int, p: int, m: int) -> list[int]:
+    """values / d modulo m for d = u p^v, u a unit, dividing p^v out exactly.
+
+    The values the sweep divides are integral (module docstring), so p^v
+    divides their residues and the quotients are right modulo p^(nw - v);
+    a remainder is a bug, not a precision shortfall.
+    """
+    pv = p ** int_valuation(d, p)
+    if any(c % pv for c in values):
+        raise InternalInvariant(f"{pv} does not divide a numerator divided by {d} (internal)")
+    u_inv = pow(d // pv, -1, m)
+    return [c // pv * u_inv % m for c in values]
 
 
 def _reduction_data(curve: HyperellipticCurve, p: int, nw: int):
@@ -220,14 +247,12 @@ def _pole_maps(f: tuple, df: tuple, sf: tuple, m: int) -> tuple[tuple[tuple[int,
 
 
 def _pole_step(s_rows, q_rows, b_in: list[int], s: int, p: int, m: int):
-    """(v, b, carry, correction) of b_in at pole level s, 1 - 2s = u p^v: b = S b_in,
-    and at the exponent raised by v, carry p^v Q b_in - 2 b'/u and correction b/u."""
-    v = int_valuation(1 - 2 * s, p)
-    u_inv = pow((1 - 2 * s) // p**v, -1, m)
-    b = [sum(map(operator.mul, row, b_in)) % m for row in s_rows]
+    """(carry, correction) of b_in at pole level s: with b = S b_in, the
+    correction b/(1 - 2s) and the carry Q b_in - 2 (b/(1 - 2s))'."""
+    b = _divide_exactly([sum(map(operator.mul, row, b_in)) % m for row in s_rows], 1 - 2 * s, p, m)
     a = [sum(map(operator.mul, row, b_in)) for row in q_rows]
-    carry = [(p**v * a_i - 2 * u_inv * i * b[i]) % m for i, a_i in enumerate(a, 1)]
-    return v, b, trim(carry), scale(b, u_inv, m)
+    carry = [(a_i - 2 * i * b[i]) % m for i, a_i in enumerate(a, 1)]
+    return trim(carry), trim(b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +264,9 @@ def frobenius_action(curve: HyperellipticCurve, p: int, precision: int) -> Frobe
     """Compute the action of the Frobenius lift x -> x^p on cohomology.
 
     The binomial series for the lift of 1/y is truncated once the dropped
-    tail cannot affect the requested precision; the working modulus p^Nw is
-    raised automatically when the tracked denominator would eat into the
-    requested digits.
+    tail cannot affect the requested precision, and the working modulus
+    p^Nw is fixed before anything is computed: the requested digits, plus
+    the digits the reduction can lose (module docstring), plus a margin.
     """
     if p < 3 or not is_prime(p):
         raise BadReduction("p must be an odd prime")
@@ -249,42 +274,44 @@ def frobenius_action(curve: HyperellipticCurve, p: int, precision: int) -> Frobe
         raise BadReduction(f"bad reduction at {p}")
     n_target = precision
 
-    # tail cutoff: term k carries p^(k+1); a single reduction chain divides
-    # by at most one odd number per pole level and per degree step, losing
-    # at most ilog_p of the largest divisor encountered
+    # tail cutoff: term k carries p^(k+1), and the sweep loses at most
+    # chain_loss digits of it on the way to the basis
     k_max = n_target + 4
     for _ in range(3):
-        s_max = p * k_max + (p - 1) // 2
-        chain_loss = ilog(p, 2 * s_max + 1) + ilog(p, 2 * (7 * p + 50) + 1) + 1
+        chain_loss = sum(_sweep_losses(p, k_max)) + 1
         k_max = n_target + chain_loss + 2
+    chain_loss = sum(_sweep_losses(p, k_max)) + 1
+    # for p <= 2g the results have denominators: sweep p^headroom times the inputs
+    headroom = 0 if p > 2 * curve.genus else chain_loss
+    # the series carries block j modulo p^(nw - jb), so nw must exceed k_max
+    nw = max(n_target + chain_loss + headroom + 4, k_max + 2)
+    return _frobenius_attempt(curve, p, n_target, k_max, nw, chain_loss, headroom)
+
+
+def _sweep_losses(p: int, k_max: int) -> tuple[int, int]:
+    """Digits the reduction of a series cut at k_max can lose: (pole levels, level-0 steps).
+
+    Term k_max reaches pole level s_max = p k_max + (p - 1)/2; the level-0
+    polynomial stays below degree 7p + 50.
+    """
     s_max = p * k_max + (p - 1) // 2
-
-    e_sweep = sum(int_valuation(2 * s - 1, p) for s in range(1, s_max + 1))
-    nw = n_target + e_sweep + chain_loss + 4
-
-    for _attempt in range(4):
-        try:
-            return _frobenius_attempt(curve, p, n_target, k_max, nw)
-        except PrecisionExhausted:
-            nw += n_target + 8
-    raise PrecisionExhausted("frobenius action: working precision kept falling short")
+    return ilog(p, 2 * s_max + 1), ilog(p, 2 * (7 * p + 50) + 1)
 
 
-def _frobenius_attempt(curve, p, n_target, k_max, nw) -> FrobeniusAction:
+def _frobenius_attempt(curve, p, n_target, k_max, nw, loss, headroom) -> FrobeniusAction:
     g = curve.genus
     m = p**nw
     f, df, sf = _reduction_data(curve, p, nw)
     acc = _binomial_series(_e_digits(curve, p, nw), f, p, nw, k_max)
 
+    monomials = [_fadic_digits([0] * (p * i + p - 1) + [1], f, m) for i in range(2 * g)]
     columns, corrections = [], []
-    half_shift = (p - 1) // 2
-    for i in range(2 * g):
-        digits = _fadic_digits([0] * (p * i + p - 1) + [1], f, m)
-        state = _ReductionState(f, df, sf, p, nw, g)
-        for lvl, row in _level_sums(acc, digits, m, half_shift).items():
+    for sums in _level_sums(acc, monomials, m, (p - 1) // 2):
+        state = _ReductionState(f, df, sf, p, nw, g, headroom)
+        for lvl, row in sums.items():
             state.add(lvl, row)
         state.sweep()
-        col, corr = state.published(n_target)
+        col, corr = state.published(n_target, loss)
         columns.append(col)
         corrections.append(corr)
     return FrobeniusAction(curve, p, n_target, [list(row) for row in zip(*columns)], corrections)
@@ -349,26 +376,30 @@ def _fadic_digits(poly: list[int], f: list[int], m: int) -> list[list[int]]:
     return digits or [[]]
 
 
-def _level_sums(rep: dict[int, list[int]], digits, m, shift) -> dict[int, list[int]]:
-    """Multiply a level representation by (sum_k digits[k] F^k) * F^(-shift).
+def _level_sums(rep: dict[int, list[int]], digit_lists, m, shift) -> Iterator[dict[int, list[int]]]:
+    """Yield the level representation times each (sum_k digits[k] F^k) * F^(-shift).
 
     Level l times digit k lands on level l + shift - k, unsplit: up to
     2 deg F - 1 coefficients.  Levels and digits must be reduced into [0, m)
-    with degree < deg F.
+    with degree < deg F.  The levels are packed once for all the digit
+    lists, and each product is formed only when it is asked for.
     """
     if not rep:
-        return {}
+        return ({} for _ in digit_lists)
     low = min(rep)
     rows = [rep.get(lvl, []) for lvl in range(low, max(rep) + 1)]
-    base = low + shift - (len(digits) - 1)
-    return {base + n: row for n, row in enumerate(mul_rows(rows, digits[::-1], m))}
+    products = mul_rows_each(rows, [digits[::-1] for digits in digit_lists], m)
+    return (
+        {low + shift - (len(digits) - 1) + n: row for n, row in enumerate(product)}
+        for digits, product in zip(digit_lists, products)
+    )
 
 
 def _level_product(rep: dict[int, list[int]], digits, f, m, shift) -> dict[int, list[int]]:
     """_level_sums with each output level split once by F, the quotient carrying one level down."""
     out: dict[int, list[int]] = {}
     carry: list[int] = []
-    for lvl, row in sorted(_level_sums(rep, digits, m, shift).items(), reverse=True):
+    for lvl, row in sorted(next(_level_sums(rep, [digits], m, shift)).items(), reverse=True):
         hi, lo = divmod_monic(row, f, m)
         poly = add(lo, carry, m)
         if poly:
@@ -408,17 +439,21 @@ def reduce_odd_differential(
     """Reduce numerator(x) * y^(-2*pole_level) dx/(2y) to the basis.
 
     Returns (basis coefficients, correction); applying it to a basis
-    differential itself (pole_level 0, degree < 2g) is the identity.
+    differential itself (pole_level 0, degree < 2g) is the identity.  The
+    numerator is any integer polynomial, so the sweep runs with headroom
+    equal to its loss: the pole levels up to pole_level, and level-0 steps
+    below the numerator's degree.
     """
     p = ring.p
-    nw = ring.prec + pole_level + 8
+    loss = ilog(p, 2 * pole_level + 1) + ilog(p, 2 * len(numerator) + 1)
+    nw = ring.prec + 2 * loss + 4
     m = p**nw
     f, df, sf = _reduction_data(curve, p, nw)
-    state = _ReductionState(f, df, sf, p, nw, curve.genus)
+    state = _ReductionState(f, df, sf, p, nw, curve.genus, loss)
     for k, digit in enumerate(_fadic_digits([c % m for c in numerator], f, m)):
         state.add(pole_level - k, digit)
     state.sweep()
-    return state.published(ring.prec)
+    return state.published(ring.prec, loss)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ integer code with no per-call normalisation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 
 def trim(a: list[int]) -> list[int]:
     """Drop trailing zeros in place; returns a."""
@@ -34,18 +36,26 @@ def mul_rows(a_rows: list[list[int]], b_rows: list[list[int]], m: int) -> list[l
     """Product of two polynomials in (Z/m[x])[z] given as lists of z-rows.
 
     Row n of the result is sum_{i+j=n} a_rows[i] * b_rows[j], trimmed and
-    reduced mod m.  Every coefficient must already lie in [0, m).  Both row
-    lists are packed into one Python int each (Kronecker substitution: every
-    row gets 2w - 1 byte-aligned slots, w the longest row, each wide enough
-    for the exact sum of at most min(#rows) * w products below m^2), so the
-    whole product is a single big-int multiplication.
+    reduced mod m.  Every coefficient must already lie in [0, m).
     """
-    if not a_rows or not b_rows:
-        return []
-    width = max(max(map(len, a_rows)), max(map(len, b_rows)), 1)
+    return next(mul_rows_each(a_rows, [b_rows], m))
+
+
+def mul_rows_each(a_rows: list[list[int]], b_operands: list[list[list[int]]], m: int) -> Iterator[list[list[int]]]:
+    """Yield mul_rows(a_rows, b_rows, m) for each b_rows in b_operands, a_rows packed once.
+
+    Each row list is packed into one Python int (Kronecker substitution:
+    every row gets 2w - 1 byte-aligned slots, w the longest row of all the
+    operands, each wide enough for the exact sum of the largest min(#rows) * w
+    products below m^2), so each product is a single big-int multiplication.
+    """
+    if not a_rows:
+        yield from ([] for _ in b_operands)
+        return
+    width = max(max(map(len, a_rows)), *(len(row) for b_rows in b_operands for row in b_rows), 1)
     stride = 2 * width - 1
-    bits = 2 * (m - 1).bit_length() + (min(len(a_rows), len(b_rows)) * width).bit_length() + 1
-    size = (bits + 7) // 8
+    terms = max((min(len(a_rows), len(b_rows)) for b_rows in b_operands), default=0) * width
+    size = (2 * (m - 1).bit_length() + terms.bit_length() + 1 + 7) // 8
 
     def pack(rows):
         chunks = []
@@ -54,10 +64,15 @@ def mul_rows(a_rows: list[list[int]], b_rows: list[list[int]], m: int) -> list[l
             chunks.append(bytes(size * (stride - len(row))))
         return int.from_bytes(b"".join(chunks), "little")
 
-    n_out = len(a_rows) + len(b_rows) - 1
-    buf = (pack(a_rows) * pack(b_rows)).to_bytes(n_out * stride * size, "little")
-    slots = [int.from_bytes(buf[k : k + size], "little") % m for k in range(0, len(buf), size)]
-    return [trim(slots[n * stride : (n + 1) * stride]) for n in range(n_out)]
+    packed_a = pack(a_rows)
+    for b_rows in b_operands:
+        if not b_rows:
+            yield []
+            continue
+        n_out = len(a_rows) + len(b_rows) - 1
+        buf = (packed_a * pack(b_rows)).to_bytes(n_out * stride * size, "little")
+        slots = [int.from_bytes(buf[k : k + size], "little") % m for k in range(0, len(buf), size)]
+        yield [trim(slots[n * stride : (n + 1) * stride]) for n in range(n_out)]
 
 
 def add(a: list[int], b: list[int], m: int) -> list[int]:

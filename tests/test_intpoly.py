@@ -11,6 +11,7 @@ from ckpoints.intpoly import (
     monic,
     mul,
     mul_rows,
+    mul_rows_each,
     scale,
     taylor_shift,
     xgcd,
@@ -175,3 +176,22 @@ def test_mul_rows_empty_and_zero_rows():
     assert mul_rows([[]], [[]], m) == [[]]
     assert mul_rows([[], [3]], [[], [], [5, 1]], m) == [[], [], [], [15, 3]]
     assert mul_rows([[2, 3]], [[4, 5]], m) == [mul([2, 3], [4, 5], m)]
+
+
+@pytest.mark.parametrize("p", (7, 11, 13))
+def test_mul_rows_each_equals_separate_products(p):
+    # the shape of the six final Frobenius products: one long level list times
+    # short digit lists; every row full of m - 1, so a slot sized for a smaller
+    # operand than the largest would overflow
+    m = p ** (3 * p + 2)
+    rng = random.Random(200 + p)
+    for a_rows, a_width in ((3 * p * 10, 7), (p, 5), (1, 7)):
+        a = _random_rows(rng, m, a_rows, a_width, full=True)
+        bs = [_random_rows(rng, m, count, width, full=True)
+              for count, width in ((1, 7), (p // 2, 3), (p + 1, 7), (2 * p, 6), (p - 1, 7), (3, 1))]
+        assert list(mul_rows_each(a, bs, m)) == [mul_rows(a, b, m) for b in bs]
+    mixed = [_random_rows(rng, m, p + 1, 7), [], [[]], _random_rows(rng, m, 2, 7, full=True)]
+    a = _random_rows(rng, m, 40, 7)
+    assert list(mul_rows_each(a, mixed, m)) == [mul_rows(a, b, m) for b in mixed]
+    assert list(mul_rows_each([], mixed, m)) == [[] for _ in mixed]
+    assert list(mul_rows_each(a, [], m)) == []
