@@ -40,7 +40,6 @@ from .padic import (
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
-    formal_integrate,
     ilog,
     padic_poly_roots,
     truncated_discriminant,  # not called here; perfbench/spans.py wraps this name
@@ -119,24 +118,20 @@ def disc_series(
 ) -> DiscSeries:
     """Expand the three functionals on the residue disc of an F_p point.
 
-    The disc center is Hensel-lifted and charted at t = 0.  Each series is
-    the formal antiderivative of a pulled-back differential plus its offset,
-    the Coleman integral from infinity to the center, so every disc is set
-    up the same way whatever rational points are known.  The truncation
-    order follows the precision of fa (see precisions).
+    The disc center is Hensel-lifted and charted at t = 0, once.  Each
+    series is the formal antiderivative of a pulled-back holomorphic
+    differential plus its offset, the Coleman integral from infinity to
+    the center, whose tiny part the same antiderivatives give; so every
+    disc is set up the same way whatever rational points are known.  The
+    truncation order follows the precision of fa (see precisions).
     """
     ring = PadicRing(fa.p, fa.precision)
     order = precisions(fa.p, fa.precision)[1]
     base = lift_point(disc, curve, ring)
-    offsets = integral_functional(curve, fa, base, order)
     chart = local_chart(base, curve, ring, order)
-    series = []
-    # zip stops at the g holomorphic pullbacks
-    for (shift, pull), offset in zip(chart.omega_pullbacks(), offsets):
-        if shift < 0:
-            raise InternalInvariant("holomorphic pullback with a pole (internal)")
-        anti = formal_integrate(pull.shift_pow(shift) if shift > 0 else pull)
-        series.append(anti + PadicPowerSeries.constant(offset, anti.order))
+    antis = chart.antiderivatives(curve.genus)
+    offsets = integral_functional(curve, fa, base, order, antis)
+    series = [anti + PadicPowerSeries.constant(offset, anti.order) for anti, offset in zip(antis, offsets)]
     return DiscSeries(disc, base, chart, series, offsets)
 
 

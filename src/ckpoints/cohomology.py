@@ -13,7 +13,8 @@ The hot loops run on plain integers modulo p^Nw, each a residue of the
 p-adic value it stands for; there is no running denominator.  Only the
 2g x 2g matrix becomes PadicScalars; each correction f_i stays flat
 (Correction: one integer row per odd y-exponent and one absolute precision
-N) and is evaluated by one integer Horner.
+N), and all of them are evaluated at a point in one pass over their rows
+packed into integers.
 
 Why Nw = N + (a few digits) suffices.  The sweep below the series is
 linear: pole level s applies its carry map M_s and its correction map
@@ -76,8 +77,8 @@ from fractions import Fraction
 
 from .curve import HyperellipticCurve, Point, is_prime
 from .errors import BadReduction, InternalInvariant, PoleAtPoint, RoundingAmbiguous
-from .intpoly import add, divmod_monic, evaluate, mul, mul_rows_each, scale, trim, xgcd
-from .padic import PadicRing, PadicScalar, ilog, int_valuation
+from .intpoly import add, divmod_monic, mul, mul_rows_each, pack, scale, trim, xgcd
+from .padic import LinearSystem, PadicRing, PadicScalar, ilog, int_valuation
 
 
 @dataclass
@@ -100,6 +101,17 @@ class Correction:
     def __post_init__(self):
         top = self.p ** (self.prec + self.e)
         self.val = ilog(self.p, math.gcd(top, *(c for row in self.rows for c in row))) - self.e
+
+    @functools.cached_property
+    def packed_rows(self) -> tuple[int, list[int]]:
+        """(size, packed): row k as one int, coefficient j in byte slot j of
+        the given size (Kronecker substitution).  A slot holds the exact sum
+        of len(rows) products of two residues below p^(prec + e), so
+        sum_k packed[k] z_k has sum_k r_kj z_k in slot j for any such z_k.
+        """
+        top = (self.p ** (self.prec + self.e) - 1).bit_length()
+        size = (2 * top + len(self.rows).bit_length() + 7) // 8
+        return size, [pack(row, size) for row in self.rows]
 
 
 @dataclass
@@ -125,6 +137,20 @@ class FrobeniusAction:
     def char_poly(self) -> list[int]:
         """zeta_char_poly of this action, computed on first use and kept."""
         return zeta_char_poly(self)
+
+    @functools.cached_property
+    def fixed_point_system(self) -> LinearSystem:
+        """(M^T - I), eliminated on first use and kept.
+
+        A Frobenius-fixed point T gives (M^T - I) [.. int_infinity^T omega_i ..]
+        = [.. -f_i(T) ..] (see coleman); every such T solves this one system.
+        """
+        n = len(self.matrix)
+        ring = PadicRing(self.p, self.precision)
+        one, zero = ring.one(), ring.zero()
+        return LinearSystem(
+            [[self.matrix[j][i] - (one if i == j else zero) for j in range(n)] for i in range(n)]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -538,32 +564,57 @@ def jacobian_order_fp(fa: FrobeniusAction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_correction(correction: Correction, point: Point) -> PadicScalar:
-    """Value of a correction at a Z_p point; poles need y a unit.
+def evaluate_corrections(corrections: list[Correction], point: Point) -> list[PadicScalar]:
+    """Values of the corrections at one Z_p point; poles need y a unit.
 
-    One integer Horner modulo p^(prec + e): in x inside each row, in y^2
-    across the rows.  Over the lifts of x and y, known to absolute
-    precisions Nx and Ny, a coefficient c moves the value by
-    O(p^(v(c) + min(Nx, Ny))), so the value is known to
-    min(prec, val + min(Nx, Ny)).
+    One pass: the powers of x and of y are taken once, modulo the largest
+    p^(prec + e) a correction has.  A correction sum_w q_w(x) y^w is then
+    one sum of products of its packed rows (Correction.packed_rows) with
+    the powers y^w, whose slots hold the coefficients of sum_w q_w y^w in
+    x, and one dot product of those with the powers of x.  Over the lifts
+    of x and y, known to absolute precisions Nx and Ny, a coefficient c
+    moves a value by O(p^(v(c) + min(Nx, Ny))), so a correction is known
+    to min(prec, val + min(Nx, Ny)).
     """
     if point.at_infinity:
         raise PoleAtPoint("corrections are not defined at infinity")
     x, y = point.x, point.y
     if x.val < 0 or y.val < 0:
         raise PoleAtPoint("corrections are evaluated at Z_p points only")
-    c = correction
-    if c.ws and c.ws[0] < 0 and (y.is_zero or y.val > 0):
+    p = x.p
+    if any(c.ws and c.ws[0] < 0 for c in corrections) and (y.is_zero or y.val > 0):
         raise PoleAtPoint("negative y-powers evaluated at a point with v(y) > 0")
-    prec = min(c.prec, c.val + min(x.prec, y.prec))
-    if not c.ws:
-        return PadicScalar.zero(x.p, prec)
-    m = x.p ** (prec + c.e)
+    precs = [min(c.prec, c.val + min(x.prec, y.prec)) for c in corrections]
+    used = [c for c in corrections if c.ws]
+    if not used:
+        return [PadicScalar.zero(p, q) for q in precs]
+    big = p ** max(c.prec + c.e for c in used)
     xl, yl = x.lift(), y.lift()
-    y2 = yl * yl % m
-    acc, above = 0, c.ws[-1]
-    for w, row in zip(reversed(c.ws), reversed(c.rows)):
-        acc = (acc * pow(y2, (above - w) // 2, m) + evaluate(row, xl, m)) % m
-        above = w
-    acc = acc * pow(yl, c.ws[0], m) % m
-    return PadicScalar.from_int(acc, x.p, prec + c.e).shift(-c.e)
+    xpows = [1]
+    for _ in range(max(len(row) for c in used for row in c.rows) - 1):
+        xpows.append(xpows[-1] * xl % big)
+    low = min(c.ws[0] for c in used)
+    ypows = {low: pow(yl, low, big)}
+    y2 = yl * yl % big
+    for w in range(low + 2, max(c.ws[-1] for c in used) + 1, 2):
+        ypows[w] = ypows[w - 2] * y2 % big
+    out = []
+    for c, q in zip(corrections, precs):
+        if not c.ws:
+            out.append(PadicScalar.zero(p, q))
+            continue
+        size, packed = c.packed_rows
+        top = p ** (c.prec + c.e)
+        yw = [ypows[w] % top for w in c.ws] if top < big else [ypows[w] for w in c.ws]
+        width = max(map(len, c.rows))
+        buf = sum(map(operator.mul, packed, yw)).to_bytes(width * size, "little")
+        coeffs = [int.from_bytes(buf[k : k + size], "little") for k in range(0, width * size, size)]
+        m = p ** (q + c.e)
+        acc = sum(map(operator.mul, coeffs, xpows)) % m
+        out.append(PadicScalar.from_int(acc, p, q + c.e).shift(-c.e))
+    return out
+
+
+def evaluate_correction(correction: Correction, point: Point) -> PadicScalar:
+    """Value of one correction at a Z_p point (see evaluate_corrections)."""
+    return evaluate_corrections([correction], point)[0]

@@ -8,17 +8,32 @@ equivariance turns the unknown values into the solution of
 
     (M^T - I) [.. int_infinity^T omega_i ..] = [.. -f_i(T) ..],
 
-with M and the f_i from the cohomology module, and a tiny integral carries
-T to the endpoint.  The involution negates every basis differential, so in
-a Weierstrass disc (the infinity disc included) the integral from infinity
+with M and the f_i from the cohomology module.  The matrix is the same for
+every T, so it is eliminated once per Frobenius action
+(FrobeniusAction.fixed_point_system), and all six f_i(T) come from one pass
+over the corrections.  A tiny integral then carries T to the endpoint R,
+read in R's own chart (as in Balakrishnan, Bradshaw and Kedlaya, "Explicit
+Coleman integration for hyperelliptic curves", ANTS IX, 2010): with
+anti_i(t) = int_R^t omega_i the formal antiderivatives about R, it is
+-anti_i(t_T), t_T = x(T) - x(R) the parameter of T.  A disc expansion
+(chabauty.disc_series) hands its antiderivatives in, so each disc has one
+chart.  The involution negates every basis differential, so in a
+Weierstrass disc (the infinity disc included) the integral from infinity
 is half the tiny integral from iota(R) to R, and 0 at the exact center;
 this avoids both the poles of the non-holomorphic basis elements at
 infinity and the absence of a Frobenius lift on Weierstrass discs.
+
+Precision: coefficient n + 1 of an antiderivative is known to v_p(n + 1)
+digits less than coefficient n of the pullback (padic.formal_integrate).
+Its value at t_T claims the scalar Horner's precision, capped at
+(order + 1) v(t) - ilog_p(order + 1): every term past the order, an
+integral coefficient over n, has valuation at least n v(t) - ilog_p(n),
+which grows with n.
 """
 
 from __future__ import annotations
 
-from .cohomology import FrobeniusAction, evaluate_correction
+from .cohomology import FrobeniusAction, evaluate_corrections
 from .curve import (
     HyperellipticCurve,
     Point,
@@ -28,13 +43,13 @@ from .curve import (
 )
 from .errors import DifferentDiscs, PoleAtPoint, WeierstrassDisc
 from .padic import (
+    PadicPowerSeries,
     PadicRing,
     PadicScalar,
     formal_integrate,
     hensel_simple_root,
     hensel_sqrt,
     ilog,
-    solve_linear_system,
 )
 
 
@@ -109,17 +124,17 @@ def _integrate_pullback(series, shift, t0, t1, ring) -> PadicScalar:
         tail = -ilog(p, anti.order + 1)
         return anti.evaluate(t1, tail) - anti.evaluate(t0, tail)
 
-    # Laurent case (infinity disc): integrate termwise; the exponent -1
-    # never occurs because the pullbacks there only have even exponents
+    # Laurent case (infinity disc): integrate termwise.  The pullbacks there
+    # are even in t, so the residue term (exponent -1, odd n) is zero by
+    # structure; every other coefficient, zero to precision or not, carries
+    # its precision into the sum.
     def eval_at(t: PadicScalar) -> PadicScalar:
-        acc = PadicScalar.zero(p, series.coeffs[0].prec + series.order + abs(shift))
+        acc = PadicScalar.zero(p, series.precs[0] + series.order + abs(shift))
         for n, c in enumerate(series.coeffs):
             e = shift + n
             if e == -1:
                 if not c.is_zero:
                     raise PoleAtPoint("residue term in a Laurent pullback (internal)")
-                continue
-            if c.is_zero:
                 continue
             acc = acc + c.div_int(e + 1) * t ** (e + 1)
         tail_exp = shift + series.order + 1
@@ -162,18 +177,19 @@ def coleman_integral(
     the regularized values for which int_infinity^(iota R) = -int_infinity^R.
     """
     ring, order = _ring_and_order(fa, order)
+    n = 2 * curve.genus
     if _same_point(start, end):
-        return [ring.zero() for _ in range(2 * curve.genus)]
+        return [ring.zero() for _ in range(n)]
     # an exact Weierstrass center has integral 0 from infinity; the other
     # end's integral is returned as is rather than less a capped zero
     if _is_weierstrass_center(start):
-        return _from_infinity(curve, fa, end, ring, order)
+        return _from_infinity(curve, fa, end, ring, order, n)
     if _is_weierstrass_center(end):
-        return [-v for v in _from_infinity(curve, fa, start, ring, order)]
+        return [-v for v in _from_infinity(curve, fa, start, ring, order, n)]
     if reduce_point(start, ring.p) == reduce_point(end, ring.p):
         return tiny_integral(curve, start, end, ring, order)
-    to_end = _from_infinity(curve, fa, end, ring, order)
-    to_start = _from_infinity(curve, fa, start, ring, order)
+    to_end = _from_infinity(curve, fa, end, ring, order, n)
+    to_start = _from_infinity(curve, fa, start, ring, order, n)
     return [a - b for a, b in zip(to_end, to_start)]
 
 
@@ -183,29 +199,30 @@ def _ring_and_order(fa: FrobeniusAction, order: int | None) -> tuple[PadicRing, 
     return PadicRing(fa.p, fa.precision), order
 
 
-def _from_infinity(curve, fa, point, ring, order) -> list[PadicScalar]:
-    """int_infinity^point of every basis differential (see the module doc).
+def _from_infinity(curve, fa, point, ring, order, count, antiderivatives=None) -> list[PadicScalar]:
+    """int_infinity^point of the first count basis differentials (see the module doc).
 
     The Teichmueller system is half the one between iota(T) and T: every
-    correction f_i is odd in y, so f_i(iota T) = -f_i(T).
+    correction f_i is odd in y, so f_i(iota T) = -f_i(T).  The tiny
+    integral from T to the point is -anti_i(t_T) for the antiderivatives
+    anti_i in the chart centered at the point, t_T = x(T) - x(point) the
+    parameter of T there; they are built unless the caller has them.
     """
     if _is_weierstrass_center(point):
-        return [ring.zero() for _ in range(2 * curve.genus)]
+        return [ring.zero() for _ in range(count)]
     if _in_weierstrass_disc(point, ring.p):
         inv2 = ring.one().div_int(2)
         mirror = tiny_integral(curve, involution(point), point, ring, order)
-        return [v * inv2 for v in mirror]
+        return [v * inv2 for v in mirror[:count]]
     teich = teichmuller_point(point, curve, ring)
-    n = 2 * curve.genus
-    one = ring.one()
-    a = [
-        [fa.matrix[j][i] - (one if i == j else ring.zero()) for j in range(n)]
-        for i in range(n)
+    head = fa.fixed_point_system.solve([-v for v in evaluate_corrections(fa.corrections, teich)])
+    if antiderivatives is None:
+        antiderivatives = local_chart(point, curve, ring, order).antiderivatives(count)
+    t = teich.x - point.x
+    return [
+        h - anti.evaluate(t, -ilog(ring.p, anti.order + 1))
+        for h, anti in zip(head, antiderivatives)
     ]
-    rhs = [-evaluate_correction(corr, teich) for corr in fa.corrections]
-    head = solve_linear_system(a, rhs, ring.p)
-    tail = tiny_integral(curve, teich, point, ring, order)
-    return [h + t for h, t in zip(head, tail)]
 
 
 def integral_functional(
@@ -213,7 +230,13 @@ def integral_functional(
     fa: FrobeniusAction,
     point: Point,
     order: int | None = None,
+    antiderivatives: list[PadicPowerSeries] | None = None,
 ) -> list[PadicScalar]:
-    """The holomorphic triple int_infinity^point of x^i dx/2y, i = 0..g-1."""
+    """The holomorphic triple int_infinity^point of x^i dx/2y, i = 0..g-1.
+
+    antiderivatives, when given, are the g holomorphic antiderivatives in
+    the chart centered at point (LocalChart.antiderivatives), which a disc
+    expansion has already built; they carry the tiny integral there.
+    """
     ring, order = _ring_and_order(fa, order)
-    return _from_infinity(curve, fa, point, ring, order)[: curve.genus]
+    return _from_infinity(curve, fa, point, ring, order, curve.genus, antiderivatives)

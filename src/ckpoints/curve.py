@@ -16,16 +16,18 @@ from fractions import Fraction
 from .errors import (
     BadReduction,
     EvenDegree,
+    InternalInvariant,
     NotMonic,
     ParseError,
     PrecisionExhausted,
     SingularModel,
 )
-from .intpoly import evaluate
+from .intpoly import evaluate, taylor_shift
 from .padic import (
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
+    formal_integrate,
     hensel_simple_root,
     hensel_sqrt,
 )
@@ -300,39 +302,39 @@ class LocalChart:
         # x(t) = x(P) + t is exact; only the y-series is truncated
         return Point(self.center.x + t, self.y_series.evaluate(t))
 
-    def omega_pullbacks(self) -> list[tuple[int, PadicPowerSeries]]:
-        """Pullbacks of the basis x^i dx/(2y), i = 0..2g-1, as (shift, series).
+    def omega_pullbacks(self, count: int | None = None) -> list[tuple[int, PadicPowerSeries]]:
+        """Pullbacks of x^i dx/(2y), i = 0..count-1 (count 2g by default), as (shift, series).
 
         The pullback of omega_i is t^shift * series(t) dt; the shift is only
         nonzero (and then even and possibly negative) on the infinity disc.
         """
         g = self.curve.genus
-        ring = self.ring
-        out = []
+        count = 2 * g if count is None else count
         if self.kind == "infinity":
-            inv = self.y_series.inverse()
-            minus_inv = -inv
-            for i in range(2 * g):
-                out.append((2 * (g - 1 - i), minus_inv))
-            return out
+            minus_inv = -self.y_series.inverse()
+            return [(2 * (g - 1 - i), minus_inv) for i in range(count)]
         if self.kind == "weierstrass":
             dx = self.x_series.derivative()
             if not dx.coeffs[0].is_zero:
                 raise PrecisionExhausted("weierstrass chart with odd x-series")
-            half = ring(Fraction(1, 2))
-            base = PadicPowerSeries(dx.coeffs[1:], dx.order - 1, ring.p).scale(half)
+            base = PadicPowerSeries(dx.coeffs[1:], dx.order - 1, self.ring.p).scale(self.ring(Fraction(1, 2)))
             xs = self.x_series.truncate(base.order)
-            acc = PadicPowerSeries.constant(ring.one(), base.order)
-            for i in range(2 * g):
-                out.append((0, acc * base))
-                acc = acc * xs
-            return out
-        inv2y = (self.y_series + self.y_series).inverse()
-        xs = self.x_series
-        acc = PadicPowerSeries.constant(ring.one(), xs.order)
-        for i in range(2 * g):
-            out.append((0, acc * inv2y))
-            acc = acc * xs
+        else:
+            base = (self.y_series + self.y_series).inverse()
+            xs = self.x_series
+        out = [(0, base)]
+        while len(out) < count:
+            out.append((0, out[-1][1] * xs))
+        return out
+
+    def antiderivatives(self, count: int) -> list[PadicPowerSeries]:
+        """The integrals from the center of the first count basis
+        differentials, as series in t; each must be holomorphic on the disc."""
+        out = []
+        for shift, pull in self.omega_pullbacks(count):
+            if shift < 0:
+                raise InternalInvariant("holomorphic pullback with a pole (internal)")
+            out.append(formal_integrate(pull.shift_pow(shift)))
         return out
 
 
@@ -370,29 +372,37 @@ def local_chart(point: Point, curve: HyperellipticCurve, ring: PadicRing, order:
     xs = PadicPowerSeries(
         [point.x, ring.one()] + [ring.zero()] * (order - 1), order, p
     )
-    fx = xs.compose_poly(f)
+    # F(x(P) + t) by one Taylor shift over the integers; a change of x(P) by
+    # O(p^k) moves each coefficient by O(p^k)
+    shifted = taylor_shift(curve.fp_coeffs(p**ring.prec), point.x.lift())
+    fx = PadicRing(p, min(ring.prec, point.x.prec)).series(shifted, order)
     y_series = fx.sqrt(point.y)
     return LocalChart("non-weierstrass", point, curve, ring, order, xs, y_series)
 
 
 def _solve_weierstrass_x(f: list[PadicScalar], x0: PadicScalar, ring: PadicRing, order: int) -> PadicPowerSeries:
-    """Series x(t) with F(x(t)) = t^2 and x(0) = x0 (F'(x0) a unit)."""
-    p = ring.p
-    t2 = PadicPowerSeries(
-        [ring.zero(), ring.zero(), ring.one()] + [ring.zero()] * (order - 2), order, p
-    )
-    x = PadicPowerSeries.constant(x0, order)
+    """Series x(t) with F(x(t)) = t^2 and x(0) = x0 (F'(x0) a unit).
+
+    x is even in t (x(-t) solves the same equation), so x(t) = X(t^2) with
+    F(X(s)) = s, a series of half the length.  Newton's step
+    X <- X - (F(X) - s) / F'(X) doubles the number of correct terms, so
+    each step runs at twice the order of the last, from x0 (right mod s)
+    up to order floor(order / 2).
+    """
+    half = order // 2
     df = [f[i].mul_int(i) for i in range(1, len(f))]
-    known = 1
-    while known <= order:
-        x = x - (x.compose_poly(f) - t2) * x.compose_poly(df).inverse()
-        known *= 2
+    s = ring.series([0, 1], half)
+    x = PadicPowerSeries.constant(x0, 0)
+    while x.order < half:
+        x = x.extend(min(2 * x.order + 1, half))
+        x = x - (x.compose_poly(f) - s.truncate(x.order)) * x.compose_poly(df).inverse()
     # final correctness check at full order
-    resid = x.compose_poly(f) - t2
-    for c in resid.coeffs:
-        if not c.is_zero:
-            raise PrecisionExhausted("weierstrass chart did not converge")
-    return x
+    resid = x.compose_poly(f) - s
+    if any(not c.is_zero for c in resid.coeffs):
+        raise PrecisionExhausted("weierstrass chart did not converge")
+    zero = ring.zero()
+    coeffs = [v for c in x.coeffs for v in (c, zero)]
+    return PadicPowerSeries(coeffs[: order + 1] + [zero] * (order + 1 - len(coeffs)), order, ring.p)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,30 @@ def mul_rows(a_rows: list[list[int]], b_rows: list[list[int]], m: int) -> list[l
     return next(mul_rows_each(a_rows, [b_rows], m))
 
 
+def pack(values: list[int], size: int) -> int:
+    """Nonnegative values below 2^(8 size) as one int, value k in byte slot k
+    (Kronecker substitution)."""
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in values), "little")
+
+
+def mul_trunc(a: list[int], b: list[int], n: int, m: int) -> list[int]:
+    """The first n coefficients of a * b mod m, as one big-int product.
+
+    Entries must lie in [0, m).  Each list is packed into one int, in slots
+    wide enough for the exact sum of min(len(a), len(b)) products below
+    m^2; only the first n slots of the product are read back.  Shorter
+    results are padded with zeros.
+    """
+    a, b = a[:n], b[:n]
+    if not a or not b:
+        return [0] * n
+    size = (2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    slots = len(a) + len(b) - 1
+    buf = (pack(a, size) * pack(b, size)).to_bytes(slots * size, "little")
+    out = [int.from_bytes(buf[k : k + size], "little") % m for k in range(0, min(n, slots) * size, size)]
+    return out + [0] * (n - len(out))
+
+
 def mul_rows_each(a_rows: list[list[int]], b_operands: list[list[list[int]]], m: int) -> Iterator[list[list[int]]]:
     """Yield mul_rows(a_rows, b_rows, m) for each b_rows in b_operands, a_rows packed once.
 

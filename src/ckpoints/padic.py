@@ -8,17 +8,21 @@ indistinguishable from 0 at its precision is flagged zero-to-precision and
 comparisons against it are three-valued; undecidable comparisons raise
 PrecisionExhausted at decision points instead of silently passing.
 
-On top of the scalars the module provides truncated power series (inverse
-and square root each one pass of a coefficient recurrence), Hensel lifting
-(square roots, and simple roots of integer polynomials), a guaranteed Z_p
-root finder for polynomials with PadicScalar coefficients, formal
-integration, and small-matrix linear algebra with minimum-valuation
-pivoting.  Exact polynomials stay integer lists (see intpoly).
+On top of the scalars the module provides truncated power series, stored
+flat as one integer row over a common power of p with a precision per
+index (products are one Kronecker big-int product, inverse and square
+root Newton iterations at doubling order), Hensel lifting (square roots,
+and simple roots of integer polynomials), a guaranteed Z_p root finder for
+polynomials with PadicScalar coefficients, formal integration, and
+small-matrix linear algebra with minimum-valuation pivoting, eliminated
+once per matrix.  Exact polynomials stay integer lists (see intpoly).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     NotASquare,
@@ -27,7 +31,7 @@ from .errors import (
     SingularSystem,
     ZeroSeed,
 )
-from .intpoly import evaluate, taylor_shift
+from .intpoly import evaluate, mul_trunc, taylor_shift
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -325,77 +329,149 @@ class PadicRing:
 
 
 class PadicPowerSeries:
-    """Power series truncated at t-adic order M (coefficients a_0 .. a_M).
+    """Power series a_0 + a_1 t + ... + a_M t^M over Q_p, truncated at t-adic order M.
 
-    Binary operations propagate the minimum truncation order of the operands.
+    Flat: one integer row and one exponent e >= 0 hold every coefficient,
+    a_n = row[n] / p^e, and a_n is known modulo p^precs[n]; row[n] is
+    reduced modulo p^(precs[n] + e) (0 when that is < 1), and e is the
+    least exponent the row needs.  Operations act on whole rows: a product
+    is one Kronecker big-int product (intpoly.mul_trunc), inverse and sqrt
+    are Newton iterations at doubling order.  Precision follows by prefix
+    minima: with P_k(a) the least precision and V_k(a) the least valuation
+    among a_0 .. a_k (a zero to precision counting with its precision),
+    coefficient k of a product is known to min(P_k(a) + V_k(b),
+    P_k(b) + V_k(a)), which every term a_i b_j with i + j = k guarantees.
+    Derivative and formal_integrate change precisions per index, by the
+    valuation of the integer they multiply or divide by.  Binary operations
+    propagate the minimum truncation order of the operands.
     """
 
-    __slots__ = ("coeffs", "order", "p")
+    __slots__ = ("p", "order", "row", "e", "precs", "_vals")
 
     def __init__(self, coeffs: list[PadicScalar], order: int, p: int):
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list must have length order + 1")
-        self.coeffs = list(coeffs)
-        self.order = order
-        self.p = p
+        e = max([0] + [-c.val for c in coeffs if not c.is_zero])
+        row = [c.unit * p ** (c.val + e) if c.unit else 0 for c in coeffs]
+        self._set(p, row, e, [c.prec for c in coeffs])
+
+    def _set(self, p: int, row: list[int], e: int, precs: list[int]):
+        """Store row / p^e known to precs: reduce every entry, then lower e as far as the row allows."""
+        top = max(precs)
+        m = p ** max(top + e, 0)
+        row = [r % m for r in row]
+        if min(precs) < top:
+            row = [r % p**k if (k := q + e) > 0 else 0 for r, q in zip(row, precs)]
+        if e:
+            g = math.gcd(*row)
+            v = e if g == 0 else min(e, int_valuation(g, p))
+            if v:
+                row = [r // p**v for r in row]
+                e -= v
+        self.p, self.order, self.row, self.e, self.precs = p, len(row) - 1, row, e, precs
+        self._vals = None
+
+    @classmethod
+    def _flat(cls, p: int, row: list[int], e: int, precs: list[int]) -> "PadicPowerSeries":
+        s = object.__new__(cls)
+        s._set(p, row, e, precs)
+        return s
 
     @classmethod
     def zero(cls, p: int, prec: int, order: int) -> "PadicPowerSeries":
-        z = PadicScalar.zero(p, prec)
-        return cls([z] * (order + 1), order, p)
+        return cls._flat(p, [0] * (order + 1), 0, [prec] * (order + 1))
 
     @classmethod
     def constant(cls, c: PadicScalar, order: int) -> "PadicPowerSeries":
         z = PadicScalar.zero(c.p, c.prec)
         return cls([c] + [z] * order, order, c.p)
 
+    @property
+    def coeffs(self) -> list[PadicScalar]:
+        """The coefficients as PadicScalars."""
+        p, e = self.p, self.e
+        out = []
+        for r, q in zip(self.row, self.precs):
+            if r == 0:
+                out.append(PadicScalar(p, q, 0, q))
+            else:
+                v = int_valuation(r, p)
+                out.append(PadicScalar(p, v - e, r // p**v, q))
+        return out
+
+    def _valuations(self) -> list[int]:
+        """v(a_n) for every n; a zero to precision counts with its precision."""
+        if self._vals is None:
+            p, e = self.p, self.e
+            self._vals = [q if r == 0 else int_valuation(r, p) - e for r, q in zip(self.row, self.precs)]
+        return self._vals
+
+    def _least_valuations(self, n: int) -> list[int]:
+        """V_k, the least valuation among a_0 .. a_k, for k < n."""
+        if self.row[0] % self.p and min(self.precs) >= -self.e:
+            # a_0 has valuation -e, the least a nonzero entry or a zero to
+            # a precision >= -e can have
+            return [-self.e] * n
+        return list(accumulate(self._valuations()[:n], min))
+
     def truncate(self, order: int) -> "PadicPowerSeries":
         if order >= self.order:
             return self
-        return PadicPowerSeries(self.coeffs[: order + 1], order, self.p)
+        return PadicPowerSeries._flat(self.p, self.row[: order + 1], self.e, self.precs[: order + 1])
+
+    def extend(self, order: int) -> "PadicPowerSeries":
+        """The same series at a higher truncation order: the new terms are
+        zeros known to the precision of the constant term."""
+        k = order - self.order
+        if k <= 0:
+            return self
+        return PadicPowerSeries._flat(self.p, self.row + [0] * k, self.e, self.precs + [self.precs[0]] * k)
 
     def __add__(self, other: "PadicPowerSeries") -> "PadicPowerSeries":
-        order = min(self.order, other.order)
-        return PadicPowerSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order, self.p
-        )
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "PadicPowerSeries") -> "PadicPowerSeries":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "PadicPowerSeries", sign: int) -> "PadicPowerSeries":
+        p, n = self.p, min(self.order, other.order) + 1
+        e = max(self.e, other.e)
+        a = [r * p ** (e - self.e) for r in self.row[:n]]
+        b = [sign * r * p ** (e - other.e) for r in other.row[:n]]
+        precs = [min(x, y) for x, y in zip(self.precs[:n], other.precs[:n])]
+        return PadicPowerSeries._flat(p, [x + y for x, y in zip(a, b)], e, precs)
 
     def __neg__(self):
-        return PadicPowerSeries([-c for c in self.coeffs], self.order, self.p)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return PadicPowerSeries._flat(self.p, [-r for r in self.row], self.e, self.precs)
 
     def __mul__(self, other: "PadicPowerSeries") -> "PadicPowerSeries":
-        order = min(self.order, other.order)
-        za = PadicScalar.zero(self.p, self.coeffs[0].prec + other.coeffs[0].prec)
-        out = [za] * (order + 1)
-        for i in range(min(len(self.coeffs), order + 1)):
-            a = self.coeffs[i]
-            if a.is_zero:
-                continue
-            for j in range(min(len(other.coeffs), order + 1 - i)):
-                b = other.coeffs[j]
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return PadicPowerSeries(out, order, self.p)
+        p, n = self.p, min(self.order, other.order) + 1
+        pa = accumulate(self.precs[:n], min)
+        pb = accumulate(other.precs[:n], min)
+        va, vb = self._least_valuations(n), other._least_valuations(n)
+        precs = [min(x + w, y + v) for x, w, y, v in zip(pa, vb, pb, va)]
+        e = self.e + other.e
+        m = p ** max(max(precs) + e, max(self.precs) + self.e, max(other.precs) + other.e, 1)
+        return PadicPowerSeries._flat(p, mul_trunc(self.row, other.row, n, m), e, precs)
 
     def scale(self, c: PadicScalar) -> "PadicPowerSeries":
-        return PadicPowerSeries([a * c for a in self.coeffs], self.order, self.p)
+        precs = [min(q + c.val, c.prec + v) for q, v in zip(self.precs, self._valuations())]
+        if c.val >= 0:
+            return PadicPowerSeries._flat(self.p, [r * c.unit * self.p**c.val for r in self.row], self.e, precs)
+        return PadicPowerSeries._flat(self.p, [r * c.unit for r in self.row], self.e - c.val, precs)
 
     def shift_pow(self, k: int) -> "PadicPowerSeries":
         """Multiply by t^k (truncation order unchanged, top terms dropped)."""
-        z = PadicScalar.zero(self.p, self.coeffs[0].prec)
-        out = [z] * k + self.coeffs[: self.order + 1 - k]
-        return PadicPowerSeries(out, self.order, self.p)
+        n = self.order + 1 - k
+        return PadicPowerSeries._flat(
+            self.p, [0] * k + self.row[:n], self.e, [self.precs[0]] * k + self.precs[:n]
+        )
 
     def __pow__(self, n: int) -> "PadicPowerSeries":
         result = None
         base = self
         if n == 0:
-            prec = self.coeffs[0].prec
-            return PadicPowerSeries.constant(PadicScalar.one(self.p, prec), self.order)
+            return PadicPowerSeries.constant(PadicScalar.one(self.p, self.precs[0]), self.order)
         if n < 0:
             return self.inverse() ** (-n)
         while n:
@@ -407,64 +483,119 @@ class PadicPowerSeries:
         return result
 
     def derivative(self) -> "PadicPowerSeries":
+        """Termwise derivative: n a_n gains v_p(n) digits of absolute precision."""
+        p = self.p
         if self.order == 0:
-            return PadicPowerSeries(
-                [PadicScalar.zero(self.p, self.coeffs[0].prec)], 0, self.p
-            )
-        return PadicPowerSeries(
-            [self.coeffs[i].mul_int(i) for i in range(1, self.order + 1)],
-            self.order - 1,
-            self.p,
+            return PadicPowerSeries.zero(p, self.precs[0], 0)
+        idx = range(1, self.order + 1)
+        return PadicPowerSeries._flat(
+            p,
+            [n * self.row[n] for n in idx],
+            self.e,
+            [self.precs[n] + int_valuation(n, p) for n in idx],
         )
 
     def evaluate(self, t: PadicScalar, tail_valuation: int = 0) -> PadicScalar:
         """Horner evaluation at a disc parameter (v(t) >= 1).
 
-        The result's precision is capped by the unknown tail: terms beyond the
-        truncation order contribute O(p^((order+1)*v(t) + tail_valuation)),
-        assuming tail coefficients have valuation >= tail_valuation.
+        One integer Horner on the row.  The claim is the scalar Horner's:
+        each step a <- a*t + a_n is known to min(prec(a) + v(t),
+        prec(t) + v(a), prec(a_n)).  The result's precision is also capped
+        by the unknown tail: terms beyond the truncation order contribute
+        O(p^((order+1)*v(t) + tail_valuation)), assuming tail coefficients
+        have valuation >= tail_valuation.
         """
         if not t.is_zero and t.val < 1:
             raise ValueError("series evaluation requires a parameter with v(t) >= 1")
-        acc = PadicScalar.zero(self.p, self.coeffs[0].prec + max(t.val, 0) * (self.order + 1))
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc.cap((self.order + 1) * t.val + tail_valuation)
+        p, e, tv, tp = self.p, self.e, t.val, t.prec
+        ti = t.lift()
+        m = p ** max(max(self.precs) + e, 1)
+        acc, prec = 0, self.precs[0] + max(tv, 0) * (self.order + 1)
+        for r, q in zip(reversed(self.row), reversed(self.precs)):
+            k = prec + e
+            val = prec if k < 1 or acc % p**k == 0 else int_valuation(acc, p) - e
+            prec = min(prec + tv, tp + val, q)
+            acc = (acc * ti + r) % m
+        prec = min(prec, (self.order + 1) * tv + tail_valuation)
+        return PadicScalar.from_int(acc % p ** max(prec + e, 0), p, prec + e).shift(-e)
+
+    def _unit_scaled(self, what: str) -> tuple[list[int], list[int], int]:
+        """The row of a(p^e s), integral with a unit constant term, the
+        precisions an inverse or a square root of a can claim, and the
+        exponent w of the modulus p^w that the result's row needs.
+
+        With L_k = min(0, v(a_1), .., v(a_k)), every coefficient k of 1/a'
+        and of sqrt(a') has valuation >= k L_k over all lifts a' of a, so
+        the differences 1/a' - 1/a = (a - a')/(a a') and sqrt(a') - sqrt(a)
+        = (a' - a)/(sqrt(a') + sqrt(a)) are known to P_k(a) + k L_k.
+        """
+        vals = self._valuations()
+        if self.row[0] == 0 or vals[0] != 0:
+            raise PrecisionExhausted(f"series {what} requires a unit constant term")
+        p, e = self.p, self.e
+        low = accumulate([0] + vals[1:], min)
+        precs = [q + k * v for k, (q, v) in enumerate(zip(accumulate(self.precs, min), low))]
+        scaled = [self.row[0] // p**e] + [r * p ** (e * (k - 1)) for k, r in enumerate(self.row[1:], 1)]
+        return scaled, precs, max(max(q + e * k for k, q in enumerate(precs)), 1)
+
+    def _unscaled(self, row: list[int], precs: list[int]) -> "PadicPowerSeries":
+        """The series b(t) = c(t / p^e) from the row of c, known to precs."""
+        e, top = self.e, self.order
+        return PadicPowerSeries._flat(
+            self.p, [r * self.p ** (e * (top - k)) for k, r in enumerate(row)], e * top, precs
+        )
 
     def inverse(self) -> "PadicPowerSeries":
-        """Inverse by z_0 = 1/c_0, z_n = -z_0 * sum_{i=1..n} c_i z_{n-i}; c_0 must be a unit."""
-        c = self.coeffs
-        if c[0].is_zero or c[0].val != 0:
-            raise PrecisionExhausted("series inverse requires a unit constant term")
-        z = [PadicScalar.one(self.p, c[0].prec) / c[0]]
-        for n in range(1, self.order + 1):
-            acc = sum((c[i] * z[n - i] for i in range(2, n + 1)), c[1] * z[n - 1])
-            z.append(-(z[0] * acc))
-        return PadicPowerSeries(z, self.order, self.p)
+        """1/a by Newton at doubling order, z <- z + z (1 - a z); a_0 must be a unit."""
+        a, precs, w = self._unit_scaled("inverse")
+        n_all, m = self.order + 1, self.p**w
+        a = [c % m for c in a]
+        z = [pow(a[0], -1, m)]
+        while (n := len(z)) < n_all:
+            n2 = min(2 * n, n_all)
+            err = mul_trunc(a, z, n2, m)[n:]
+            z += mul_trunc(z, [-c % m for c in err], n2 - n, m)
+        return self._unscaled(z, precs)
 
     def sqrt(self, seed: PadicScalar) -> "PadicPowerSeries":
         """The square root whose constant term is congruent to seed mod p.
 
-        The seed only picks the branch: y_0 = hensel_sqrt(a_0, seed mod p)
-        holds a_0's full precision, and y_n = (a_n - sum_{i=1..n-1} y_i
-        y_{n-i}) / (2 y_0).  A seed or an a_0 that is not a unit raises
-        PrecisionExhausted, and seed^2 != a_0 (mod p) NotASquare.
+        The seed only picks the branch: y_0 is the Hensel root of
+        y^2 = a_0 over seed mod p, known to a_0's full precision.  Newton at doubling order finds
+        z = 1/sqrt(a), z <- z + z (1 - a z^2)/2, and then y = a z.  A seed
+        or an a_0 that is not a unit raises PrecisionExhausted, and
+        seed^2 != a_0 (mod p) NotASquare.
         """
         if seed.is_zero or seed.val != 0:
             raise PrecisionExhausted("series sqrt requires a unit constant term")
-        a = self.coeffs
-        y = [hensel_sqrt(a[0], seed.unit)]
-        two_y0 = y[0].mul_int(2)
-        for n in range(1, self.order + 1):
-            y.append(sum((-(y[i] * y[n - i]) for i in range(1, n)), a[n]) / two_y0)
-        return PadicPowerSeries(y, self.order, self.p)
+        a, precs, w = self._unit_scaled("sqrt")
+        p, n_all, m = self.p, self.order + 1, self.p**w
+        if (seed.unit**2 - a[0]) % p:
+            raise NotASquare(f"{seed.unit % p}^2 != a_0 (mod {p})")
+        a = [c % m for c in a]
+        half = (m + 1) // 2
+        z = [pow(_newton_root([-a[0], 0, 1], seed.unit, p, w), -1, m)]
+        while (n := len(z)) < n_all:
+            n2 = min(2 * n, n_all)
+            err = mul_trunc(a, mul_trunc(z, z, n2, m), n2, m)[n:]
+            z += mul_trunc(z, [-c * half % m for c in err], n2 - n, m)
+        return self._unscaled(mul_trunc(a, z, n_all, m), precs)
 
     def compose_poly(self, coeffs: list[PadicScalar]) -> "PadicPowerSeries":
         """Evaluate the polynomial with these ascending coefficients at this series (Horner)."""
-        acc = PadicPowerSeries.constant(PadicScalar.zero(self.p, coeffs[-1].prec), self.order)
+        acc = PadicPowerSeries.zero(self.p, coeffs[-1].prec, self.order)
         for c in reversed(coeffs):
-            acc = acc * self + PadicPowerSeries.constant(c, self.order)
+            acc = (acc * self)._plus_constant(c)
         return acc
+
+    def _plus_constant(self, c: PadicScalar) -> "PadicPowerSeries":
+        """self + c, c taken as a series whose other terms are zeros known to c.prec."""
+        p = self.p
+        e = max(self.e, -c.val if c.unit else 0)
+        row = [r * p ** (e - self.e) for r in self.row] if e > self.e else list(self.row)
+        if c.unit:
+            row[0] += c.unit * p ** (c.val + e)
+        return PadicPowerSeries._flat(p, row, e, [min(q, c.prec) for q in self.precs])
 
     def __str__(self):
         return " + ".join(f"({c})*t^{i}" for i, c in enumerate(self.coeffs)) + f" + O(t^{self.order + 1})"
@@ -542,14 +673,21 @@ def formal_integrate(s: PadicPowerSeries) -> PadicPowerSeries:
     """Termwise antiderivative with zero constant term.
 
     The t^(n+1) coefficient is a_n/(n+1); dividing by n+1 costs exactly
-    v_p(n+1) digits of absolute precision on that coefficient.
+    v_p(n+1) digits of absolute precision on that coefficient, and only
+    there: the row takes the common exponent e + max v_p(n+1).
     """
     if s.order < 1:
         raise ValueError("formal_integrate requires truncation order >= 1")
-    out = [PadicScalar.zero(s.p, s.coeffs[0].prec)]
-    for n in range(s.order + 1):
-        out.append(s.coeffs[n].div_int(n + 1))
-    return PadicPowerSeries(out, s.order + 1, s.p)
+    p = s.p
+    vs = [int_valuation(n, p) for n in range(1, s.order + 2)]
+    top = max(vs)
+    e = s.e + top
+    row, precs = [0], [s.precs[0]]
+    for n, (r, q, v) in enumerate(zip(s.row, s.precs, vs), 1):
+        k = q - v + e
+        row.append(r * p ** (top - v) * pow(n // p**v, -1, p**k) if k > 0 else 0)
+        precs.append(q - v)
+    return PadicPowerSeries._flat(p, row, e, precs)
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +820,18 @@ def _sylvester_resultant(f: list[PadicScalar], g: list[PadicScalar], p: int) -> 
     return _determinant(rows, p)
 
 
-def _forward_eliminate(rows: list[list[PadicScalar]], n: int) -> int | None:
+def _forward_eliminate(rows: list[list[PadicScalar]], n: int) -> tuple[int, list] | None:
     """Reduce the first n columns of rows (in place) to upper-triangular form.
 
-    Pivots are chosen by minimum valuation.  Returns the sign of the row
-    permutation, or None if some pivot column is zero to working precision.
+    Pivots are chosen by minimum valuation.  Every entry below a pivot is
+    eliminated, one that is zero to precision too: its factor is a zero
+    that still carries the entry's uncertainty into the row.  Returns the
+    sign of the row permutation and the steps (col, pivot row, [(row,
+    factor)]) that replay the elimination on a right-hand side, or None if
+    some pivot column is zero to working precision.
     """
     sign = 1
+    steps = []
     for col in range(n):
         pivot_row = None
         best_val = None
@@ -705,39 +848,60 @@ def _forward_eliminate(rows: list[list[PadicScalar]], n: int) -> int | None:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             sign = -sign
         pivot = rows[col][col]
+        factors = []
         for r in range(col + 1, n):
-            c = rows[r][col]
-            if c.is_zero:
-                continue
-            factor = c / pivot
+            factor = rows[r][col] / pivot
+            factors.append((r, factor))
             for k in range(col, len(rows[r])):
                 rows[r][k] = rows[r][k] - factor * rows[col][k]
-    return sign
+        steps.append((col, pivot_row, factors))
+    return sign, steps
 
 
 def _determinant(rows: list[list[PadicScalar]], p: int) -> PadicScalar:
     n = len(rows)
     rows = [list(r) for r in rows]
     prec = min(c.prec for r in rows for c in r)
-    sign = _forward_eliminate(rows, n)
-    if sign is None:
+    eliminated = _forward_eliminate(rows, n)
+    if eliminated is None:
         return PadicScalar.zero(p, prec)
     det = PadicScalar.one(p, prec)
     for i in range(n):
         det = det * rows[i][i]
-    return det if sign == 1 else -det
+    return det if eliminated[0] == 1 else -det
+
+
+class LinearSystem:
+    """A square matrix A eliminated once, for solving A x = b for many b.
+
+    Gaussian elimination with minimum-valuation pivoting; solve replays
+    the same row operations on b and back-substitutes, so each solution is
+    the one elimination of the augmented matrix [A | b] would give.
+    """
+
+    def __init__(self, matrix: list[list[PadicScalar]]):
+        self.rows = [list(row) for row in matrix]
+        eliminated = _forward_eliminate(self.rows, len(self.rows))
+        if eliminated is None:
+            raise SingularSystem("pivot column is zero to working precision")
+        self.steps = eliminated[1]
+
+    def solve(self, rhs: list[PadicScalar]) -> list[PadicScalar]:
+        b = list(rhs)
+        for col, pivot_row, factors in self.steps:
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            for r, factor in factors:
+                b[r] = b[r] - factor * b[col]
+        n = len(b)
+        x = [None] * n
+        for i in reversed(range(n)):
+            acc = b[i]
+            for k in range(i + 1, n):
+                acc = acc - self.rows[i][k] * x[k]
+            x[i] = acc / self.rows[i][i]
+        return x
 
 
 def solve_linear_system(matrix: list[list[PadicScalar]], rhs: list[PadicScalar], p: int) -> list[PadicScalar]:
     """Solve A x = b by Gaussian elimination with minimum-valuation pivoting."""
-    n = len(matrix)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    if _forward_eliminate(a, n) is None:
-        raise SingularSystem("pivot column is zero to working precision")
-    x = [None] * n
-    for i in reversed(range(n)):
-        acc = a[i][n]
-        for k in range(i + 1, n):
-            acc = acc - a[i][k] * x[k]
-        x[i] = acc / a[i][i]
-    return x
+    return LinearSystem(matrix).solve(rhs)

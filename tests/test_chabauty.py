@@ -101,6 +101,41 @@ def test_disc_series_offsets_vanish_only_with_seed(ex1, fa1):
         assert a.is_zero
 
 
+@pytest.mark.parametrize("p", [7, 11])
+def test_disc_series_builds_one_chart_and_g_pullbacks_per_disc(ex1, monkeypatch, p):
+    # the tiny integral from the Teichmueller point is read in the disc's own
+    # chart, the run path pulls back only the g holomorphic forms, and
+    # (M^T - I) is eliminated once per Frobenius action
+    from ckpoints import coleman, curve as curve_mod
+
+    fa = frobenius_action(ex1, p, 2 * p + 4)
+    charts, counts, systems = [], [], []
+    real_chart, real_pullbacks, real_system = curve_mod.local_chart, curve_mod.LocalChart.omega_pullbacks, cohomology.LinearSystem
+
+    def counted_chart(*args):
+        charts.append(args[0])
+        return real_chart(*args)
+
+    def counted_pullbacks(self, count=None):
+        counts.append(count)
+        return real_pullbacks(self, count)
+
+    def counted_system(matrix):
+        systems.append(matrix)
+        return real_system(matrix)
+
+    monkeypatch.setattr(chabauty, "local_chart", counted_chart)
+    monkeypatch.setattr(coleman, "local_chart", counted_chart)
+    monkeypatch.setattr(curve_mod.LocalChart, "omega_pullbacks", counted_pullbacks)
+    monkeypatch.setattr(cohomology, "LinearSystem", counted_system)
+    discs = [d for d, _ in fp_disc_representatives(ex1, p)]
+    for d in discs:
+        disc_series(ex1, fa, d)
+    assert len(charts) == len(counts) == len(discs)
+    assert counts == [ex1.genus] * len(discs)
+    assert len(systems) == 1
+
+
 def test_common_zeros_weierstrass_disc(ex1, fa1):
     ds = disc_series(ex1, fa1, Point(4, 0))
     zeros, chosen = common_zeros(ds)

@@ -20,6 +20,7 @@ from ckpoints.cohomology import (
     Correction,
     curve_count_fp,
     evaluate_correction,
+    evaluate_corrections,
     frobenius_action,
     jacobian_order_fp,
     reduce_odd_differential,
@@ -34,7 +35,7 @@ from ckpoints.curve import (
     local_chart,
 )
 from ckpoints.errors import BadReduction, InternalInvariant, PoleAtPoint, PrecisionExhausted
-from ckpoints.intpoly import add, divmod_monic, mul, scale, trim
+from ckpoints.intpoly import add, divmod_monic, evaluate, mul, scale, trim
 from ckpoints.padic import PadicPowerSeries, PadicRing, PadicScalar, int_valuation
 
 CURVE_X7P1 = HyperellipticCurve([1, 0, 0, 0, 0, 0, 0, 1])
@@ -959,6 +960,72 @@ def test_evaluate_correction_zero_and_poly(ex1):
         evaluate_correction(poly_only, INFINITY)
     half, expect = evaluate_correction(pole, Point(ring(3), ring(2))), ring(Fraction(1, 2))
     assert (half.val, half.unit, half.prec) == (expect.val, expect.unit, expect.prec)
+
+
+def _evaluate_correction_horner(correction, point):
+    """Oracle: the evaluation evaluate_corrections replaced, one correction at
+    a time, by an integer Horner in x inside each row and in y^2 across the
+    rows."""
+    x, y = point.x, point.y
+    c = correction
+    prec = min(c.prec, c.val + min(x.prec, y.prec))
+    if not c.ws:
+        return PadicScalar.zero(x.p, prec)
+    m = x.p ** (prec + c.e)
+    xl, yl = x.lift(), y.lift()
+    y2 = yl * yl % m
+    acc, above = 0, c.ws[-1]
+    for w, row in zip(reversed(c.ws), reversed(c.rows)):
+        acc = (acc * pow(y2, (above - w) // 2, m) + evaluate(row, xl, m)) % m
+        above = w
+    acc = acc * pow(yl, c.ws[0], m) % m
+    return PadicScalar.from_int(acc, x.p, prec + c.e).shift(-c.e)
+
+
+def _triples(values):
+    return [(v.val, v.unit, v.prec) for v in values]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_evaluate_corrections_equals_the_row_horner_at_teichmueller_points(ex1, ex2, ex3_monic, p):
+    # all corrections at once against the one-at-a-time Horner: on the
+    # fixtures (p >= 7) and on criterion 4's random curves, whose actions at
+    # p = 3 and 5 carry headroom e > 0
+    from ckpoints.coleman import teichmuller_point
+
+    curves = _criterion_4_curves(2, (p,)) + ([ex1, ex2, ex3_monic[0]] if p >= 7 else [])
+    checked = 0
+    for curve in curves:
+        fa = frobenius_action(curve, p, 2 * p + 4)
+        ring = PadicRing(p, fa.precision)
+        for pbar in enumerate_fp_points(curve, p):
+            if pbar.at_infinity or pbar.y == 0:
+                continue
+            t = teichmuller_point(lift_point(pbar, curve, ring), curve, ring)
+            want = [_evaluate_correction_horner(c, t) for c in fa.corrections]
+            assert _triples(evaluate_corrections(fa.corrections, t)) == _triples(want)
+            checked += 1
+    assert checked > 0
+    if p < 7:
+        assert any(c.e > 0 for c in fa.corrections)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([3, 7, 11]), count=st.integers(1, 4))
+def test_evaluate_corrections_equals_the_row_horner_on_drawn_rows(data, p, count):
+    # several corrections with their own e, prec, y-exponents and row
+    # lengths (some long), at one point
+    corrections = []
+    for _ in range(count):
+        e, prec = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 10))
+        top = p ** (prec + e)
+        ws = sorted(data.draw(st.sets(st.sampled_from(range(-9, 10, 2)), max_size=5)))
+        rows = [[data.draw(st.integers(0, top - 1)) for _ in range(data.draw(st.integers(0, 12)))] for _ in ws]
+        corrections.append(Correction(p, ws, rows, e, prec))
+    x = PadicScalar.from_int(data.draw(st.integers(0, p**12)), p, data.draw(st.integers(1, 14)))
+    y = PadicScalar.from_int(data.draw(st.integers(1, p - 1)) + p * data.draw(st.integers(0, p**10)), p, data.draw(st.integers(1, 14)))
+    want = [_evaluate_correction_horner(c, Point(x, y)) for c in corrections]
+    assert _triples(evaluate_corrections(corrections, Point(x, y))) == _triples(want)
 
 
 def _fraction_val(q: Fraction, p: int) -> float:

@@ -28,11 +28,13 @@ from ckpoints.curve import (
     scale_to_monic,
     search_rational_points,
 )
+from ckpoints.curve import _solve_weierstrass_x
 from ckpoints.errors import NotMonic, ParseError, SingularModel
 from ckpoints.intpoly import xgcd
-from ckpoints.padic import PadicRing
+from ckpoints.padic import PadicRing, hensel_simple_root
 
 from conftest import EX1_COEFFS, EX3_RAW_COEFFS
+from scalar_series import ScalarSeries
 
 
 def test_validate_simple_ok():
@@ -220,6 +222,50 @@ def test_local_chart_weierstrass_ramification(ex1):
     rhs = chart.x_series.compose_poly(f)
     for a, b in zip(lhs.coeffs, rhs.coeffs):
         assert a.congruent(b) is True
+
+
+def _weierstrass_x_full_order(f, x0, ring, order):
+    """Oracle: x(t) with F(x(t)) = t^2 by Newton steps in t, each at full
+    order, on the per-coefficient series (the iteration before it ran at
+    doubling order on X(s) = x(t), s = t^2)."""
+    z = ring.zero()
+    t2 = ScalarSeries([z, z, ring.one()] + [z] * (order - 2), order, ring.p)
+    x = ScalarSeries.constant(x0, order)
+    df = [f[i].mul_int(i) for i in range(1, len(f))]
+    known = 1
+    while known <= order:
+        x = x - (x.compose_poly(f) - t2) * x.compose_poly(df).inverse()
+        known *= 2
+    return x
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_weierstrass_newton_at_doubling_order_matches_full_order(p):
+    # every Weierstrass disc of the three fixtures: the same coefficients,
+    # nonzero ones with the same (val, unit, prec); a zero stays a zero
+    n, order = precisions(p)
+    ring = PadicRing(p, n)
+    discs = 0
+    for line in FIXTURE.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        curve, _ = scale_to_monic(parse_curve_line(line))
+        f = [ring(c) for c in curve.coeffs]
+        for pbar in enumerate_fp_points(curve, p):
+            if pbar.at_infinity or pbar.y != 0:
+                continue
+            x0 = hensel_simple_root(curve.fp_coeffs(p**n), pbar.x, p, n)
+            got = _solve_weierstrass_x(f, x0, ring, order).coeffs
+            want = _weierstrass_x_full_order(f, x0, ring, order).coeffs
+            assert len(got) == len(want) == order + 1
+            for a, b in zip(got, want):
+                assert a.congruent(b) is True
+                if b.is_zero:
+                    assert a.is_zero
+                else:
+                    assert (a.val, a.unit, a.prec) == (b.val, b.unit, b.prec)
+            discs += 1
+    assert discs >= 3, discs
 
 
 def test_local_chart_infinity_pullback_orders(ex1):

@@ -12,6 +12,7 @@ from ckpoints.intpoly import (
     mul,
     mul_rows,
     mul_rows_each,
+    mul_trunc,
     scale,
     taylor_shift,
     xgcd,
@@ -167,6 +168,23 @@ def test_mul_rows_top_coefficients_fill_the_slots(p):
         assert mul_rows(a, b, m) == _rows_oracle(a, b, m)
     # (m - 1)^2 = 1 mod m
     assert mul_rows([[m - 1]], [[m - 1]], m) == [[1]]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_trunc_against_schoolbook(p):
+    # random and all-(m - 1) operands (every slot at its bound), truncated
+    # below, at and above the length of the full product
+    rng = random.Random(70 + p)
+    m = p ** (2 * p + 4)
+    for full in (False, True):
+        for _ in range(20):
+            a = [m - 1 if full else rng.randrange(m) for _ in range(rng.randrange(1, 30))]
+            b = [m - 1 if full else rng.randrange(m) for _ in range(rng.randrange(1, 30))]
+            whole = mul(a, b, m)
+            for n in (1, len(a), len(a) + len(b) - 1, len(a) + len(b) + 3):
+                want = (whole + [0] * n)[:n]
+                assert mul_trunc(a, b, n, m) == want
+    assert mul_trunc([], [1, 2], 3, m) == [0, 0, 0]
 
 
 def test_mul_rows_empty_and_zero_rows():

@@ -16,6 +16,7 @@ from ckpoints.errors import (
     ZeroSeed,
 )
 from ckpoints.padic import (
+    LinearSystem,
     PadicPowerSeries,
     PadicRing,
     PadicScalar,
@@ -480,6 +481,140 @@ def test_series_sqrt_non_square_seed_raises():
         Z7.series([7, 1], 3).sqrt(Z7(1))  # a_0 is not a unit
 
 
+# -- the flat series against exact arithmetic on two lifts ----------------------
+
+
+@st.composite
+def scalars(draw, p, low=-2, precs=(-1, 12)):
+    """A PadicScalar with a random precision in precs and a random valuation
+    in [low, prec]; valuation = prec is a zero O(p^prec)."""
+    prec = draw(st.integers(*precs))
+    val = draw(st.integers(min(low, prec), prec))
+    unit = 0
+    if val < prec:
+        unit = draw(st.integers(1, p ** (prec - val) - 1).filter(lambda u: u % p))
+    return PadicScalar(p, val, unit, prec)
+
+
+@st.composite
+def any_series(draw, p, max_order=8):
+    """A series whose every coefficient is drawn by scalars: random precision
+    (negative ones too), zeros O(p^k) and valuations down to -2."""
+    order = draw(st.integers(0, max_order))
+    return PadicPowerSeries([draw(scalars(p)) for _ in range(order + 1)], order, p)
+
+
+_PRIMES = st.sampled_from([3, 5, 7, 11])
+
+
+def _lifts(data, s):
+    return [_draw_lift(data, c) for c in s.coeffs]
+
+
+def _exact_product(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMES.flatmap(lambda p: st.tuples(scalars(p), scalars(p))), st.data())
+def test_scalar_arithmetic_claims_only_true_digits(pair, data):
+    a, b = pair
+    results = [(a + b, lambda x, y: x + y), (a - b, lambda x, y: x - y), (a * b, lambda x, y: x * y)]
+    if not b.is_zero:  # then no lift of b is 0
+        results.append((a / b, lambda x, y: x / y))
+    for _ in range(2):
+        x, y = _draw_lift(data, a), _draw_lift(data, b)
+        for got, op in results:
+            assert _fraction_val(op(x, y) - _rational(got), a.p) >= got.prec, (a, b, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMES.flatmap(lambda p: st.tuples(any_series(p), any_series(p))), st.data())
+def test_flat_product_sum_and_scale_claim_only_true_digits(pair, data):
+    a, b = pair
+    c = data.draw(scalars(a.p))
+    prod, total, diff, scaled = a * b, a + b, a - b, a.scale(c)
+    n = min(a.order, b.order) + 1
+    assert prod.order == total.order == diff.order == n - 1
+    for _ in range(2):
+        la, lb, lc = _lifts(data, a), _lifts(data, b), _draw_lift(data, c)
+        _assert_claims_hold(prod, _exact_product(la, lb, n))
+        _assert_claims_hold(total, [x + y for x, y in zip(la, lb)])
+        _assert_claims_hold(diff, [x - y for x, y in zip(la, lb)])
+        _assert_claims_hold(scaled, [x * lc for x in la])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMES.flatmap(lambda p: st.tuples(any_series(p), st.lists(scalars(p), min_size=1, max_size=4))), st.data())
+def test_flat_compose_poly_claims_only_true_digits(drawn, data):
+    s, poly = drawn
+    got = s.compose_poly(poly)
+    assert got.order == s.order
+    for _ in range(2):
+        ls, lpoly = _lifts(data, s), [_draw_lift(data, c) for c in poly]
+        acc = [Fraction(0)] * (s.order + 1)
+        for c in reversed(lpoly):
+            acc = _exact_product(acc, ls, s.order + 1)
+            acc[0] += c
+        _assert_claims_hold(got, acc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMES.flatmap(lambda p: any_series(p)), st.data())
+def test_flat_derivative_and_integral_claim_only_true_digits(s, data):
+    deriv = s.derivative()
+    anti = formal_integrate(s) if s.order >= 1 else None
+    for _ in range(2):
+        ls = _lifts(data, s)
+        _assert_claims_hold(deriv, [n * c for n, c in enumerate(ls)][1:] or [Fraction(0)])
+        if anti is not None:
+            _assert_claims_hold(anti, [Fraction(0)] + [c / (n + 1) for n, c in enumerate(ls)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMES.flatmap(lambda p: st.tuples(any_series(p), scalars(p, low=1, precs=(1, 10)))), st.data())
+def test_flat_evaluate_claims_only_true_digits(drawn, data):
+    # the claim covers the truncated series at every lift of t; the tail is 0 here
+    s, t = drawn
+    tail = data.draw(st.integers(-2, 2))
+    got = s.evaluate(t, tail)
+    for _ in range(2):
+        ls, lt = _lifts(data, s), _draw_lift(data, t)
+        exact = sum(c * lt**n for n, c in enumerate(ls))
+        assert _fraction_val(exact - _rational(got), s.p) >= got.prec, (got, exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=_PRIMES,
+    prec=st.integers(1, 12),
+    ints=st.lists(st.integers(1, 10**9), min_size=2, max_size=18),
+    t_int=st.integers(1, 10**6),
+)
+def test_flat_operations_equal_the_scalar_ones_at_one_precision(p, prec, ints, t_int):
+    # inputs known to one precision with no zero coefficient: there the
+    # per-coefficient series (the oracle) claims nothing it lacks, and the
+    # flat rows must give the same (val, unit, prec) everywhere
+    from scalar_series import ScalarSeries, scalar_integrate
+
+    ring = PadicRing(p, prec)
+    cs = [c % (p**prec - 1) + 1 for c in ints]
+    half = len(cs) // 2
+    a, b = ring.series(cs[:half], half - 1), ring.series(cs[half:], len(cs) - half - 1)
+    old_a, old_b = (ScalarSeries(s.coeffs, s.order, p) for s in (a, b))
+    t = ring(p * t_int)
+
+    def triples(s):
+        return [(c.val, c.unit, c.prec) for c in s.coeffs]
+
+    assert triples(a * b) == triples(old_a * old_b)
+    assert triples(a.derivative()) == triples(old_a.derivative())
+    got, want = b.evaluate(t, 1), old_b.evaluate(t, 1)
+    assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+    if len(cs) - half >= 2:
+        assert triples(formal_integrate(b)) == triples(scalar_integrate(old_b))
+
+
 # -- padic_poly_roots ---------------------------------------------------------
 
 
@@ -680,3 +815,38 @@ def test_singular_system_detected():
         assert _determinant(_padic_matrix(m), 7).is_zero
         with pytest.raises(SingularSystem):
             solve_linear_system(_padic_matrix(m), _padic_matrix([[1, 2, 3, 4]])[0], 7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_linear_system_claims_only_true_digits(data):
+    # entries with random precision and valuation, zeros O(p^k) among them:
+    # an entry that is zero to precision below a pivot still carries its
+    # uncertainty into the row it is eliminated from
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(2, 3))
+    entry = scalars(p, low=0, precs=(1, 8))
+    matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    rhs = [data.draw(entry) for _ in range(n)]
+    try:
+        x = solve_linear_system(matrix, rhs, p)
+    except (SingularSystem, PrecisionExhausted):
+        assume(False)
+    for _ in range(2):
+        lifted = [[_draw_lift(data, c) for c in row] for row in matrix]
+        if _exact_eliminate(lifted)[0] == 0:
+            continue
+        exact = _exact_solve(lifted, [_draw_lift(data, c) for c in rhs])
+        for got, want in zip(x, exact):
+            assert _fraction_val(want - _rational(got), p) >= got.prec, (got, want)
+
+
+def test_linear_system_replays_one_elimination():
+    # solving against one eliminated matrix equals solving the augmented system
+    rng = random.Random(3)
+    m = [[rng.randrange(-60, 61) * rng.choice((1, 7)) for _ in range(4)] for _ in range(4)]
+    system = LinearSystem(_padic_matrix(m))
+    for _ in range(5):
+        b = _padic_matrix([[rng.randrange(-60, 61) for _ in range(4)]])[0]
+        once = [(c.val, c.unit, c.prec) for c in system.solve(b)]
+        assert once == [(c.val, c.unit, c.prec) for c in solve_linear_system(_padic_matrix(m), b, 7)]

@@ -28,6 +28,7 @@ from conftest import EX1_COEFFS, EX2_COEFFS, EX3_RAW_COEFFS
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "examples.txt"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "examples_h1000.json"
 GOLDEN_P11 = GOLDEN.with_name("examples_p11_h100.json")
+GOLDEN_P13 = GOLDEN.with_name("examples_p13_h100.json")
 GOLDEN_TEXT = GOLDEN.with_suffix(".txt")
 GOLDEN_CSV = GOLDEN.with_suffix(".csv")
 GOLDEN_POINTS = GOLDEN.with_name("search_points_h10000.txt")
@@ -410,6 +411,14 @@ def test_cli_run_p11_matches_golden(tmp_path):
     argv = ["run", "--input", str(FIXTURE), "--prime", "11", "--height-bound", "100"]
     assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
     assert out.read_bytes() == GOLDEN_P11.read_bytes()
+
+
+def test_cli_run_p13_matches_golden(tmp_path):
+    # recorded before the disc phase moved to flat series
+    out = tmp_path / "report.json"
+    argv = ["run", "--input", str(FIXTURE), "--prime", "13", "--height-bound", "100"]
+    assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_P13.read_bytes()
 
 
 @pytest.mark.parametrize("fmt, golden", [("text", GOLDEN_TEXT), ("csv", GOLDEN_CSV)])
