@@ -28,11 +28,13 @@ reduction (Kedlaya, J. Ramanujan Math. Soc. 16, 2001; Harvey, "Kedlaya's
 algorithm in larger characteristic", IMRN 2007) bounds the denominators
 of every such composite from pole levels up to s_max by
 p^floor(log_p(2 s_max + 1)), and those of the level-0 steps by
-p^floor(log_p(d_max)), d_max the largest odd number they divide by.  So
-every output is right modulo p^(Nw - loss), loss the sum of the two; this
-is precision tracked through the differential of a linear map (Caruso,
-Roe and Vaccon, "Tracking p-adic precision", 2014) rather than step by
-step.  The tests compute the composites and check the bound.
+p^floor(log_p(d_max)), d_max the largest odd number they divide by; d_max
+comes from a bound on the level-0 degree that the sweep checks, raising
+InternalInvariant above it.  So every output is right modulo
+p^(Nw - loss), loss the sum of the two; this is precision tracked
+through the differential of a linear map (Caruso, Roe and Vaccon,
+"Tracking p-adic precision", 2014) rather than step by step.  The tests
+compute the composites and check the bound.
 
 The divisions themselves are exact.  Each value divided (S b at pole level
 s by p^v(1 - 2s), a leading coefficient at level 0 by p^v(2j - 2g + 1)) is
@@ -51,7 +53,7 @@ formed: F(x^p) = F(x)^p mod p, so the F-adic digits of F(x^p), taken modulo
 p^(Nw+1), are a lone 1 at F^p plus p times the digits of E.  Multiplying by
 W = E F^(-p) sends level s and digit k to level s + p - k: a convolution in
 the level index, done as one Kronecker-substituted big-int product
-(intpoly.mul_rows), then one division by F per output level whose quotient
+(intpoly.mul_rows), then one split by F per output level whose quotient
 carries one level down.  The series takes about 2 sqrt(k_max) such
 products, not k_max: the baby steps W^0 .. W^b, then Horner in Y = W^b,
 with Y itself read as a digit list.  The last product, by the digits of
@@ -60,6 +62,16 @@ applies two maps built once per F and p^Nw, S(b) = b/F' mod F and
 Q(b) = (b - S(b) F')/F, Q taking in the quotient a split would carry.  All
 of it is linear, so each result is the residue mod p^Nw of the per-pair loop.
 The six final products share one packing of the series (intpoly.mul_rows_each).
+
+Both fixed maps run as packed columns (intpoly.pack_columns): column j of
+[S; Q] is one integer with the images of x^j in byte slots, one slot per
+output row, each wide enough for the exact sum of 2 deg F - 1 products of
+residues below p^Nw, so a pole step is one C-level sum of 2 deg F - 1
+big-int products and one read per slot, followed by the exact division
+by 1 - 2s.  The split by F in the series is a packed map of the same
+kind, holding x^k mod F and x^k div F for k = deg F .. 2 deg F - 2.  The
+sweep walks the levels from the top one down, and the unit part of each
+divisor is inverted once per Frobenius attempt, for all six columns.
 
 Byproducts: the characteristic polynomial of Frobenius (numerator of the
 zeta function), worked out once per FrobeniusAction, and from it the point
@@ -74,10 +86,11 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .curve import HyperellipticCurve, Point, is_prime
 from .errors import BadReduction, InternalInvariant, PoleAtPoint, RoundingAmbiguous
-from .intpoly import add, divmod_monic, mul, mul_rows_each, pack, scale, trim, xgcd
+from .intpoly import add, apply_columns, divmod_monic, mul, mul_rows_each, pack_columns, scale, trim, xgcd
 from .padic import LinearSystem, PadicRing, PadicScalar, ilog, int_valuation
 
 
@@ -109,9 +122,7 @@ class Correction:
         of len(rows) products of two residues below p^(prec + e), so
         sum_k packed[k] z_k has sum_k r_kj z_k in slot j for any such z_k.
         """
-        top = (self.p ** (self.prec + self.e) - 1).bit_length()
-        size = (2 * top + len(self.rows).bit_length() + 7) // 8
-        return size, [pack(row, size) for row in self.rows]
+        return pack_columns(self.rows, self.p ** (self.prec + self.e))
 
 
 @dataclass
@@ -163,7 +174,7 @@ class _ReductionState:
     corrections, every value a plain residue modulo p^nw of the p-adic
     value times p^headroom."""
 
-    def __init__(self, fints, dints, sfints, p, nw, genus, headroom=0):
+    def __init__(self, fints, dints, sfints, p, nw, genus, headroom=0, *, degree0=None, units=None):
         self.f = fints
         self.df = dints
         self.sf = sfints  # (F')^{-1} mod F
@@ -172,6 +183,10 @@ class _ReductionState:
         self.m = p**nw
         self.g = genus
         self.headroom = headroom
+        # the level-0 degree the caller sized its loss for, by default the Frobenius sweep's
+        self.degree0 = _level0_degree(p) if degree0 is None else degree0
+        # the divisors' unit parts, shared by the states of one Frobenius attempt
+        self.units = _UnitParts(p, self.m) if units is None else units
         self.levels: dict[int, list[int]] = {}
         self.corrections: dict[int, list[int]] = {}
 
@@ -188,18 +203,21 @@ class _ReductionState:
         p, m = self.p, self.m
         two_g = 2 * self.g
         maps = _pole_maps(tuple(self.f), tuple(self.df), tuple(self.sf), m)
-        while (s := max(self.levels, default=0)) > 0:
-            b_in = self.levels.pop(s)
-            if b_in:
-                carry, corr = _pole_step(*maps, b_in, s, p, m)
-                if corr:
-                    _accumulate(self.corrections, 1 - 2 * s, corr, m)
-                _accumulate(self.levels, s - 1, carry, m)
+        columns = _pole_columns(*maps, m)
+        levels = self.levels
+        for s in range(max(levels, default=0), 0, -1):
+            if b_in := levels.pop(s, None):
+                carry, corr = _pole_step(*maps, b_in, s, p, m, columns, self.units)
+                if corr:  # the one correction at y^(1 - 2s)
+                    self.corrections[1 - 2 * s] = corr
+                _accumulate(levels, s - 1, carry, m)
         # level 0: lower the polynomial degree below 2g via d(x^(j-2g) y)
-        level0 = self.levels.pop(0, [])
+        level0 = levels.pop(0, [])
         while len(level0) - 1 >= two_g:
             j = len(level0) - 1
-            piece = _divide_exactly([level0[j]], 2 * j - two_g + 1, p, m)[0]
+            if j > self.degree0:
+                raise InternalInvariant(f"level-0 degree {j} exceeds the bound {self.degree0} (internal)")
+            piece = _divide_exactly([level0[j]], 2 * j - two_g + 1, self.units)[0]
             i = j - two_g  # d(x^i y) = [2i x^(i-1) F + x^i F'] dx/(2y)
             dj = add([0] * (i - 1) + scale(self.f, 2 * i, m), [0] * i + self.df, m)
             level0 = add(level0, scale(dj, -piece % m, m), m)
@@ -230,18 +248,36 @@ def _accumulate(table: dict[int, list[int]], key: int, poly: list[int], m: int):
     table[key] = add(cur, poly, m) if cur else trim(list(poly))
 
 
-def _divide_exactly(values: list[int], d: int, p: int, m: int) -> list[int]:
-    """values / d modulo m for d = u p^v, u a unit, dividing p^v out exactly.
+def _divide_exactly(values: list[int], d: int, units: "_UnitParts") -> list[int]:
+    """values / d modulo m = units.m for d = u p^v, u a unit, dividing p^v out exactly.
 
     The values the sweep divides are integral (module docstring), so p^v
     divides their residues and the quotients are right modulo p^(nw - v);
     a remainder is a bug, not a precision shortfall.
     """
-    pv = p ** int_valuation(d, p)
-    if any(c % pv for c in values):
-        raise InternalInvariant(f"{pv} does not divide a numerator divided by {d} (internal)")
-    u_inv = pow(d // pv, -1, m)
-    return [c // pv * u_inv % m for c in values]
+    pv, u_inv = units[d]
+    m = units.m
+    if pv > 1:
+        values = [c % m for c in values]
+        if any(c % pv for c in values):
+            raise InternalInvariant(f"{pv} does not divide a numerator divided by {d} (internal)")
+        values = [c // pv for c in values]
+    return [c * u_inv % m for c in values]
+
+
+class _UnitParts(dict):
+    """(p^v, u^(-1) mod m) by divisor d = u p^v, each found on first use:
+    one table serves the six columns of a Frobenius attempt, so every
+    level's unit is inverted once, however many levels there are."""
+
+    def __init__(self, p: int, m: int):
+        super().__init__()
+        self.p, self.m = p, m
+
+    def __missing__(self, d: int) -> tuple[int, int]:
+        pv = self.p ** int_valuation(d, self.p)
+        self[d] = unit = (pv, pow(d // pv, -1, self.m))
+        return unit
 
 
 def _reduction_data(curve: HyperellipticCurve, p: int, nw: int):
@@ -272,12 +308,25 @@ def _pole_maps(f: tuple, df: tuple, sf: tuple, m: int) -> tuple[tuple[tuple[int,
     return tuple(zip(*cols_s)), tuple(zip(*cols_q))
 
 
-def _pole_step(s_rows, q_rows, b_in: list[int], s: int, p: int, m: int):
+@functools.lru_cache(maxsize=4)
+def _pole_columns(s_rows, q_rows, m: int) -> tuple[int, list[int]]:
+    """[S; Q] as packed columns (intpoly.pack_columns): column j holds S x^j
+    in slots 0 .. deg F - 1 and Q x^j above, each slot wide enough for the
+    exact sum of 2 deg F - 1 products below m^2."""
+    return pack_columns(list(zip(*s_rows, *q_rows)), m)
+
+
+def _pole_step(s_rows, q_rows, b_in: list[int], s: int, p: int, m: int, columns=None, units=None):
     """(carry, correction) of b_in at pole level s: with b = S b_in, the
-    correction b/(1 - 2s) and the carry Q b_in - 2 (b/(1 - 2s))'."""
-    b = _divide_exactly([sum(map(operator.mul, row, b_in)) % m for row in s_rows], 1 - 2 * s, p, m)
-    a = [sum(map(operator.mul, row, b_in)) for row in q_rows]
-    carry = [(a_i - 2 * i * b[i]) % m for i, a_i in enumerate(a, 1)]
+    correction b/(1 - 2s) and the carry Q b_in - 2 (b/(1 - 2s))'.  S b_in
+    and Q b_in are one sum over the packed columns of [S; Q]; a sweep
+    passes them and its _UnitParts in, found once, rather than hash the
+    rows and invert 1 - 2s at every level."""
+    size, cols = columns or _pole_columns(s_rows, q_rows, m)
+    n = len(s_rows)
+    slots = apply_columns(size, cols, b_in, n + len(q_rows))
+    b = _divide_exactly(slots[:n], 1 - 2 * s, units if units is not None else _UnitParts(p, m))
+    carry = [(a_i - 2 * i * b[i]) % m for i, a_i in enumerate(slots[n:], 1)]
     return trim(carry), trim(b)
 
 
@@ -318,10 +367,15 @@ def _sweep_losses(p: int, k_max: int) -> tuple[int, int]:
     """Digits the reduction of a series cut at k_max can lose: (pole levels, level-0 steps).
 
     Term k_max reaches pole level s_max = p k_max + (p - 1)/2; the level-0
-    polynomial stays below degree 7p + 50.
+    polynomial stays below degree _level0_degree(p), which the sweep checks.
     """
     s_max = p * k_max + (p - 1) // 2
-    return ilog(p, 2 * s_max + 1), ilog(p, 2 * (7 * p + 50) + 1)
+    return ilog(p, 2 * s_max + 1), ilog(p, 2 * _level0_degree(p) + 1)
+
+
+def _level0_degree(p: int) -> int:
+    """The largest level-0 degree a Frobenius sweep at p sizes its loss for."""
+    return 7 * p + 50
 
 
 def _frobenius_attempt(curve, p, n_target, k_max, nw, loss, headroom) -> FrobeniusAction:
@@ -331,9 +385,10 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw, loss, headroom) -> Frobeni
     acc = _binomial_series(_e_digits(curve, p, nw), f, p, nw, k_max)
 
     monomials = [_fadic_digits([0] * (p * i + p - 1) + [1], f, m) for i in range(2 * g)]
+    degree0, units = _level0_degree(p), _UnitParts(p, m)  # loss sized by _sweep_losses
     columns, corrections = [], []
     for sums in _level_sums(acc, monomials, m, (p - 1) // 2):
-        state = _ReductionState(f, df, sf, p, nw, g, headroom)
+        state = _ReductionState(f, df, sf, p, nw, g, headroom, degree0=degree0, units=units)
         for lvl, row in sums.items():
             state.add(lvl, row)
         state.sweep()
@@ -425,8 +480,9 @@ def _level_product(rep: dict[int, list[int]], digits, f, m, shift) -> dict[int, 
     """_level_sums with each output level split once by F, the quotient carrying one level down."""
     out: dict[int, list[int]] = {}
     carry: list[int] = []
+    split = _split_columns(tuple(f), m)
     for lvl, row in sorted(next(_level_sums(rep, [digits], m, shift)).items(), reverse=True):
-        hi, lo = divmod_monic(row, f, m)
+        hi, lo = _split_by_f(row, split, m)
         poly = add(lo, carry, m)
         if poly:
             out[lvl] = poly
@@ -434,6 +490,28 @@ def _level_product(rep: dict[int, list[int]], digits, f, m, shift) -> dict[int, 
     if carry:
         out[lvl - 1] = carry
     return out
+
+
+def _split_columns(f: tuple, m: int) -> tuple[int, list[int]]:
+    """The split by F as packed columns (intpoly.pack_columns): column
+    k - deg F holds x^k mod F in slots 0 .. deg F - 1 and x^k div F above,
+    for k = deg F .. 2 deg F - 2."""
+    n = len(f) - 1
+    cols = []
+    for k in range(n, 2 * n - 1):
+        hi, lo = divmod_monic([0] * k + [1], list(f), m)
+        cols.append(lo + [0] * (n - len(lo)) + hi)
+    return pack_columns(cols, m)
+
+
+def _split_by_f(row: list[int], split: tuple[int, list[int]], m: int) -> tuple[list[int], list[int]]:
+    """divmod_monic(row, F, m) for up to 2 deg F - 1 residues: the top
+    coefficients through the packed columns of _split_columns, in one sum."""
+    size, cols = split
+    n = len(cols) + 1
+    slots = apply_columns(size, cols, row[n:], 2 * n - 1)
+    lo = [(c + r) % m for c, r in zip_longest(slots[:n], row[:n], fillvalue=0)]
+    return trim([c % m for c in slots[n:]]), trim(lo)
 
 
 def _lift_poly_inverse(a: list[int], inv_p: list[int], f: list[int], p: int, nw: int) -> list[int]:
@@ -475,7 +553,7 @@ def reduce_odd_differential(
     nw = ring.prec + 2 * loss + 4
     m = p**nw
     f, df, sf = _reduction_data(curve, p, nw)
-    state = _ReductionState(f, df, sf, p, nw, curve.genus, loss)
+    state = _ReductionState(f, df, sf, p, nw, curve.genus, loss, degree0=len(numerator))
     for k, digit in enumerate(_fadic_digits([c % m for c in numerator], f, m)):
         state.add(pole_level - k, digit)
     state.sweep()
@@ -606,9 +684,7 @@ def evaluate_corrections(corrections: list[Correction], point: Point) -> list[Pa
         size, packed = c.packed_rows
         top = p ** (c.prec + c.e)
         yw = [ypows[w] % top for w in c.ws] if top < big else [ypows[w] for w in c.ws]
-        width = max(map(len, c.rows))
-        buf = sum(map(operator.mul, packed, yw)).to_bytes(width * size, "little")
-        coeffs = [int.from_bytes(buf[k : k + size], "little") for k in range(0, width * size, size)]
+        coeffs = apply_columns(size, packed, yw, max(map(len, c.rows)))
         m = p ** (q + c.e)
         acc = sum(map(operator.mul, coeffs, xpows)) % m
         out.append(PadicScalar.from_int(acc, p, q + c.e).shift(-c.e))

@@ -245,6 +245,8 @@ class LocalChart:
     kind is one of "non-weierstrass", "weierstrass", "infinity".  The stored
     series satisfy y(t)^2 = F(x(t)) to the truncation order; at infinity the
     coordinates are Laurent: x(t) = t^-2 and y(t) = t^-(2g+1) * y_series(t).
+    y_inverse is 1/y_series, a byproduct of the square root that found
+    y_series; a Weierstrass chart (y = t) has none.
     """
 
     kind: str
@@ -254,6 +256,7 @@ class LocalChart:
     order: int
     x_series: PadicPowerSeries
     y_series: PadicPowerSeries
+    y_inverse: PadicPowerSeries | None = None
 
     def param_of(self, point: Point) -> PadicScalar:
         """Chart parameter of a point in this disc (center maps to 0)."""
@@ -311,7 +314,7 @@ class LocalChart:
         g = self.curve.genus
         count = 2 * g if count is None else count
         if self.kind == "infinity":
-            minus_inv = -self.y_series.inverse()
+            minus_inv = -self.y_inverse
             return [(2 * (g - 1 - i), minus_inv) for i in range(count)]
         if self.kind == "weierstrass":
             dx = self.x_series.derivative()
@@ -320,7 +323,7 @@ class LocalChart:
             base = PadicPowerSeries(dx.coeffs[1:], dx.order - 1, self.ring.p).scale(self.ring(Fraction(1, 2)))
             xs = self.x_series.truncate(base.order)
         else:
-            base = (self.y_series + self.y_series).inverse()
+            base = self.y_inverse.scale(self.ring(Fraction(1, 2)))
             xs = self.x_series
         out = [(0, base)]
         while len(out) < count:
@@ -357,9 +360,9 @@ def local_chart(point: Point, curve: HyperellipticCurve, ring: PadicRing, order:
             if e <= order:
                 coeffs[e] = f[j]
         v = PadicPowerSeries(coeffs, order, p)
-        u = v.sqrt(ring.one())
+        u, u_inv = v.sqrt_and_inverse(ring.one())
         x_series = PadicPowerSeries.constant(ring.one(), order)
-        return LocalChart("infinity", INFINITY, curve, ring, order, x_series, u)
+        return LocalChart("infinity", INFINITY, curve, ring, order, x_series, u, u_inv)
     if point.y.is_zero or point.y.val >= 1:
         # center at the exact Weierstrass point of the disc
         x0 = hensel_simple_root(curve.fp_coeffs(p**ring.prec), point.x.lift(), p, ring.prec)
@@ -376,8 +379,8 @@ def local_chart(point: Point, curve: HyperellipticCurve, ring: PadicRing, order:
     # O(p^k) moves each coefficient by O(p^k)
     shifted = taylor_shift(curve.fp_coeffs(p**ring.prec), point.x.lift())
     fx = PadicRing(p, min(ring.prec, point.x.prec)).series(shifted, order)
-    y_series = fx.sqrt(point.y)
-    return LocalChart("non-weierstrass", point, curve, ring, order, xs, y_series)
+    y_series, y_inverse = fx.sqrt_and_inverse(point.y)
+    return LocalChart("non-weierstrass", point, curve, ring, order, xs, y_series, y_inverse)
 
 
 def _solve_weierstrass_x(f: list[PadicScalar], x0: PadicScalar, ring: PadicRing, order: int) -> PadicPowerSeries:

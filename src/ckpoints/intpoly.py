@@ -6,11 +6,20 @@ zero polynomial is [].  Results come back trimmed with coefficients in
 routines on Z/p^N, Cantor's algorithm and the good-reduction test on F_p,
 and the Z_p root finder evaluates with them, so the hot loops are plain
 integer code with no per-call normalisation.
+
+Products and fixed linear maps run on Kronecker substitution: values are
+packed into byte slots of one Python int, each slot wide enough for the
+exact sum it will hold, so a whole product (mul_trunc, mul_rows_each) or
+a whole matrix-vector product (pack_columns, apply_columns: one sum of
+big-int products over the packed columns) is a few C-level operations,
+read back one slot per coefficient.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
+from itertools import zip_longest
 
 
 def trim(a: list[int]) -> list[int]:
@@ -45,6 +54,28 @@ def pack(values: list[int], size: int) -> int:
     """Nonnegative values below 2^(8 size) as one int, value k in byte slot k
     (Kronecker substitution)."""
     return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in values), "little")
+
+
+def pack_columns(cols: list[list[int]], m: int) -> tuple[int, list[int]]:
+    """A matrix over Z/m given by its columns, entries in [0, m), as (size,
+    packed): column j as one int, row i in byte slot i of the given size.
+    A slot holds the exact sum of len(cols) products below m^2, so
+    apply_columns reads the matrix-vector product off one big-int sum.
+    """
+    size = (2 * (m - 1).bit_length() + len(cols).bit_length() + 7) // 8
+    return size, [pack(col, size) for col in cols]
+
+
+def apply_columns(size: int, packed: list[int], vec: list[int], n_rows: int) -> list[int]:
+    """The first n_rows entries of M vec, exact over Z (not reduced), for M
+    packed by pack_columns and entries of vec in [0, m): one C-level sum of
+    big-int products, then one shift and mask per slot."""
+    if len(vec) > len(packed):
+        raise ValueError(f"a vector of {len(vec)} entries for a matrix of {len(packed)} columns")
+    total = sum(map(operator.mul, vec, packed))
+    bits = 8 * size
+    mask = (1 << bits) - 1
+    return [total >> k & mask for k in range(0, n_rows * bits, bits)]
 
 
 def mul_trunc(a: list[int], b: list[int], n: int, m: int) -> list[int]:
@@ -100,12 +131,7 @@ def mul_rows_each(a_rows: list[list[int]], b_operands: list[list[list[int]]], m:
 
 
 def add(a: list[int], b: list[int], m: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        s = (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        out[i] = s % m
-    return trim(out)
+    return trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def scale(a: list[int], c: int, m: int) -> list[int]:

@@ -558,12 +558,18 @@ class PadicPowerSeries:
         return self._unscaled(z, precs)
 
     def sqrt(self, seed: PadicScalar) -> "PadicPowerSeries":
-        """The square root whose constant term is congruent to seed mod p.
+        """The square root whose constant term is congruent to seed mod p (see sqrt_and_inverse)."""
+        return self.sqrt_and_inverse(seed)[0]
+
+    def sqrt_and_inverse(self, seed: PadicScalar) -> tuple["PadicPowerSeries", "PadicPowerSeries"]:
+        """y = sqrt(a), the root whose constant term is congruent to seed mod p, and 1/y.
 
         The seed only picks the branch: y_0 is the Hensel root of
         y^2 = a_0 over seed mod p, known to a_0's full precision.  Newton at doubling order finds
-        z = 1/sqrt(a), z <- z + z (1 - a z^2)/2, and then y = a z.  A seed
-        or an a_0 that is not a unit raises PrecisionExhausted, and
+        z = 1/sqrt(a), z <- z + z (1 - a z^2)/2, and then y = a z.  Both
+        claim the precisions of _unit_scaled: z(a') - z(a) = (a - a') z(a)
+        z(a') / (y(a) + y(a')), whose coefficients have valuation >= k L_k.
+        A seed or an a_0 that is not a unit raises PrecisionExhausted, and
         seed^2 != a_0 (mod p) NotASquare.
         """
         if seed.is_zero or seed.val != 0:
@@ -579,7 +585,7 @@ class PadicPowerSeries:
             n2 = min(2 * n, n_all)
             err = mul_trunc(a, mul_trunc(z, z, n2, m), n2, m)[n:]
             z += mul_trunc(z, [-c * half % m for c in err], n2 - n, m)
-        return self._unscaled(mul_trunc(a, z, n_all, m), precs)
+        return self._unscaled(mul_trunc(a, z, n_all, m), precs), self._unscaled(z, precs)
 
     def compose_poly(self, coeffs: list[PadicScalar]) -> "PadicPowerSeries":
         """Evaluate the polynomial with these ascending coefficients at this series (Horner)."""

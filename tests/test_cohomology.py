@@ -548,7 +548,8 @@ def _running_exponent_action(curve, p, n_target):
     nw = n_target + sum(int_valuation(2 * s - 1, p) for s in range(1, s_max + 1)) + chain_loss + 4
 
     class State(_RunningExponentState):
-        def __init__(self, f, df, sf, p, nw, genus, headroom):
+        def __init__(self, f, df, sf, p, nw, genus, headroom, *, degree0, units):
+            # the running exponent needs no degree bound and finds its own units
             super().__init__(f, df, sf, p, nw, genus)
 
         def published(self, n_target, loss):
@@ -784,6 +785,67 @@ def test_pole_step_matches_split_products(data, p, nw):
     b_in = [c * p ** int_valuation(1 - 2 * s, p) % m for c in b_in]
     maps = cohomology._pole_maps(tuple(f), tuple(df), tuple(sf), m)
     assert cohomology._pole_step(*maps, b_in, s, p, m) == _split_pole_step(f, df, sf, b_in, s, p, m)
+
+
+# -- the packed maps at their slot edges ---------------------------------------
+#
+# A slot of the packed columns holds an exact sum of products below m^2; the
+# entries m - 1 and 0 put the sums at and far below its edge.
+
+
+def _edge_entries(m):
+    return st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 11, 13, 17, 23]), nw=st.integers(1, 120))
+def test_packed_pole_step_at_slot_edges(data, p, nw):
+    m = p**nw
+    f, df, sf = cohomology._reduction_data(HyperellipticCurve(EX1_COEFFS), p, nw)
+    s = data.draw(st.one_of(st.integers(1, 12 * p), st.builds(lambda j: p * j + (p + 1) // 2, st.integers(0, 12))))
+    b_in = data.draw(st.lists(_edge_entries(m), min_size=1, max_size=13))
+    b_in = [c * p ** int_valuation(1 - 2 * s, p) % m for c in b_in]
+    maps = cohomology._pole_maps(tuple(f), tuple(df), tuple(sf), m)
+    want = _split_pole_step(f, df, sf, b_in, s, p, m)
+    assert cohomology._pole_step(*maps, b_in, s, p, m) == want
+    assert cohomology._pole_step(*maps, b_in, s, p, m, cohomology._pole_columns(*maps, m)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 11, 13, 17, 23]), nw=st.integers(1, 120))
+def test_packed_split_matches_divmod_monic(data, p, nw):
+    m = p**nw
+    f = data.draw(st.lists(_edge_entries(m), min_size=7, max_size=7)) + [1]
+    split = cohomology._split_columns(tuple(f), m)
+    row = data.draw(st.lists(_edge_entries(m), min_size=0, max_size=13))
+    assert cohomology._split_by_f(row, split, m) == divmod_monic(row, f, m)
+
+
+def test_level0_degree_above_the_bound_raises_internal_invariant(ex1):
+    # the level-0 loss is sized for a degree bound; a polynomial above it
+    # would be divided by more factors p than the published digits allow
+    p, nw = 7, 24
+    f, df, sf = cohomology._reduction_data(ex1, p, nw)
+    bound = cohomology._level0_degree(p)
+    level0_loss = cohomology._sweep_losses(p, 1)[1]
+    at_bound = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss, degree0=bound)
+    at_bound.add(0, [0] * bound + [1])
+    at_bound.sweep()
+    assert len(at_bound.levels[0]) <= 6
+    above = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss, degree0=bound)
+    above.add(0, [0] * (bound + 1) + [1])
+    with pytest.raises(InternalInvariant, match="exceeds the bound"):
+        above.sweep()
+    # without a bound the state takes the Frobenius sweep's
+    default = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss)
+    default.add(0, [0] * (bound + 1) + [1])
+    with pytest.raises(InternalInvariant, match=f"exceeds the bound {bound}"):
+        default.sweep()
+    # a state sized for a smaller bound refuses what the Frobenius one takes
+    small = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss, degree0=20)
+    small.add(0, [0] * 21 + [1])
+    with pytest.raises(InternalInvariant, match="exceeds the bound 20"):
+        small.sweep()
 
 
 @pytest.mark.parametrize("p", [7, 11])

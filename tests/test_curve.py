@@ -31,7 +31,7 @@ from ckpoints.curve import (
 from ckpoints.curve import _solve_weierstrass_x
 from ckpoints.errors import NotMonic, ParseError, SingularModel
 from ckpoints.intpoly import xgcd
-from ckpoints.padic import PadicRing, hensel_simple_root
+from ckpoints.padic import PadicPowerSeries, PadicRing, hensel_simple_root
 
 from conftest import EX1_COEFFS, EX3_RAW_COEFFS
 from scalar_series import ScalarSeries
@@ -357,6 +357,35 @@ def test_fixture_charts_match_golden(p):
             assert len(a) == len(b)
             bad = [(i, x, y) for i, (x, y) in enumerate(zip(a, b)) if not _claims_no_more(x, y)]
             assert not bad, (have["curve"], have["point"], bad[:3])
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_pullbacks_reuse_the_square_roots_inverse(p, monkeypatch):
+    # 1/y comes out of the Newton iteration that found y: the pullbacks equal
+    # a second inversion of y, digit for digit and claim for claim
+    n, order = precisions(p)
+    ring = PadicRing(p, n)
+
+    def triples(series):
+        return [[c.val, c.unit, c.prec] for c in series.coeffs]
+
+    charts = []
+    for line in FIXTURE.read_text().splitlines():
+        if not line.startswith("#"):
+            curve, _ = scale_to_monic(parse_curve_line(line))
+            charts += [local_chart(lift_point(q, curve, ring), curve, ring, order) for q in enumerate_fp_points(curve, p)]
+    kinds = {c.kind for c in charts}
+    assert kinds == {"infinity", "weierstrass", "non-weierstrass"}
+    charts = [c for c in charts if c.kind != "weierstrass"]
+    refs = [-c.y_series.inverse() if c.kind == "infinity" else (c.y_series + c.y_series).inverse() for c in charts]
+
+    def no_inverse(self):
+        raise AssertionError("a chart inverted y a second time")
+
+    monkeypatch.setattr(PadicPowerSeries, "inverse", no_inverse)
+    for chart, ref in zip(charts, refs):
+        shift, base = chart.omega_pullbacks()[chart.curve.genus - 1 if chart.kind == "infinity" else 0]
+        assert shift == 0 and triples(base) == triples(ref)
 
 
 def test_search_rational_points_example1(ex1):

@@ -6,6 +6,7 @@ import pytest
 
 from ckpoints.intpoly import (
     add,
+    apply_columns,
     divmod_monic,
     evaluate,
     monic,
@@ -13,6 +14,7 @@ from ckpoints.intpoly import (
     mul_rows,
     mul_rows_each,
     mul_trunc,
+    pack_columns,
     scale,
     taylor_shift,
     xgcd,
@@ -213,3 +215,29 @@ def test_mul_rows_each_equals_separate_products(p):
     assert list(mul_rows_each(a, mixed, m)) == [mul_rows(a, b, m) for b in mixed]
     assert list(mul_rows_each([], mixed, m)) == [[] for _ in mixed]
     assert list(mul_rows_each(a, [], m)) == []
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 17, 23))
+def test_packed_columns_hold_the_largest_sums(p):
+    # every entry m - 1 puts each slot at its largest sum, n (m - 1)^2; a
+    # slot one byte narrower than pack_columns sizes it loses digits for
+    # most m
+    rng = random.Random(p)
+    for nw in range(1, 121):
+        m = p**nw
+        for n_cols, n_rows in ((13, 13), (6, 13), (1, 1), (2, 7)):
+            rows = [[m - 1] * n_cols for _ in range(n_rows)]
+            size, packed = pack_columns([list(col) for col in zip(*rows)], m)
+            for vec in ([m - 1] * n_cols, [rng.choice((0, m - 1, rng.randrange(m))) for _ in range(n_cols)]):
+                want = [sum(a * b for a, b in zip(row, vec)) for row in rows]
+                assert apply_columns(size, packed, vec, n_rows) == want
+                assert apply_columns(size, packed, vec[:1], n_rows) == [row[0] * vec[0] for row in rows]
+    with pytest.raises(ValueError):
+        apply_columns(size, packed, [1] * (n_cols + 1), n_rows)
+
+
+def test_add_pads_the_shorter_operand():
+    assert add([1, 2, 3], [4], 5) == [0, 2, 3]
+    assert add([4], [1, 2, 3], 5) == [0, 2, 3]
+    assert add([1, 4], [4, 1], 5) == []
+    assert add([], [], 5) == []

@@ -430,6 +430,28 @@ def test_series_sqrt_claims_only_true_digits(drawn, data):
         _assert_claims_hold(root, exact)
 
 
+@settings(max_examples=200, deadline=None)
+@given(unit_series(), st.data())
+def test_series_inverse_sqrt_claims_only_true_digits(drawn, data):
+    # the charts take 1/y from the square root's Newton iteration instead of
+    # a second inversion: it must claim only digits true on every lift
+    s, seed = drawn
+    p = s.p
+    root, inv = s.sqrt_and_inverse(PadicScalar(p, 0, seed + p * data.draw(st.integers(0, p**3)), 5))
+    assert [str(c) for c in root.coeffs] == [str(c) for c in s.sqrt(PadicScalar(p, 0, seed, 5)).coeffs]
+    assert inv.order == s.order and inv.precs == root.precs
+    for _ in range(2):
+        lift = [_draw_lift(data, c) for c in s.coeffs]
+        y = [Fraction(_int_sqrt_mod(int(lift[0]), seed, p, 60))]
+        for n in range(1, s.order + 1):
+            cross = sum(y[i] * y[n - i] for i in range(1, n))
+            y.append((lift[n] - cross) / (2 * y[0]))
+        exact = [1 / y[0]]
+        for n in range(1, s.order + 1):
+            exact.append(-exact[0] * sum(y[i] * exact[n - i] for i in range(1, n + 1)))
+        _assert_claims_hold(inv, exact)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     p=st.sampled_from([3, 5, 7, 11]),

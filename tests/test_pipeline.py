@@ -34,6 +34,7 @@ GOLDEN_CSV = GOLDEN.with_suffix(".csv")
 GOLDEN_POINTS = GOLDEN.with_name("search_points_h10000.txt")
 GOLDEN_FROBENIUS = GOLDEN.with_name("frobenius_cli.txt")
 GOLDEN_FROBENIUS_P13 = GOLDEN.with_name("frobenius_cli_p13.txt")
+GOLDEN_FROBENIUS_P17 = GOLDEN.with_name("frobenius_cli_p17.txt")
 GOLDEN_INTEGRATE = GOLDEN.with_name("integrate_cli.txt")
 
 
@@ -404,6 +405,12 @@ def test_cli_frobenius_matches_golden(capsys):
 
 def test_cli_frobenius_p13_matches_golden(capsys):
     assert _cli_frobenius_on_fixtures(capsys, ("13",)) == GOLDEN_FROBENIUS_P13.read_text()
+
+
+def test_cli_frobenius_p17_matches_golden(capsys):
+    # recorded before the pole steps and the series splits went to packed
+    # columns: p = 17 puts the widest slots on the run path
+    assert _cli_frobenius_on_fixtures(capsys, ("17",)) == GOLDEN_FROBENIUS_P17.read_text()
 
 
 def test_cli_run_p11_matches_golden(tmp_path):
