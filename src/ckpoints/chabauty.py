@@ -5,15 +5,16 @@ on every rational point, so the rational points are among the common zeros
 of three power series per residue disc.  Discs are processed up to the
 hyperelliptic involution: each disc gets a local expansion of the three
 functionals about its Hensel-lifted center (a formal antiderivative plus the
-Coleman integral from infinity to the center as offset), a Strassmann bound
-for each series after the rescaling t = p*s (read off the coefficient
-valuations), Z_p root extraction from the series of least bound, and a
-vanishing check of the other two series at every root.  A bound of 0 proves
-the disc empty without root finding.  If no series in some disc gives
-separable roots, the whole run restarts at the next prime of good
-reduction.  Coleman's bound #C(F_p) + 2g - 2 on the number of common zeros
-cross-checks the result.  Known rational points do not enter the search;
-they only cross-check its output.
+Coleman integral from infinity to the center as offset) and a Strassmann
+bound for each series after the rescaling t = p*s (read off the coefficient
+valuations).  In every chart one basis differential pulls back with a unit
+constant term, so some series has bound at most 1: a bound of 0 proves the
+disc empty without root finding, and otherwise the Z_p root of the first
+series of bound 1, if any, is checked against the other two series.  A disc
+with no series of bound at most 1 has a broken chart and raises
+InternalInvariant, so one prime of good reduction settles every disc, and
+no disc holds more than one common zero before mirroring.  Known rational
+points do not enter the search; they only cross-check its output.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .curve import (
     lift_point,
     local_chart,
 )
-from .errors import AllSeriesDegenerate, InternalInvariant, NonTorsionExtra, PrecisionExhausted, ZeroBoundExceeded
+from .errors import InternalInvariant, NonTorsionExtra, PrecisionExhausted, ZeroBoundExceeded
 from .padic import (
     PadicPowerSeries,
     PadicRing,
@@ -160,69 +161,47 @@ def _strassmann_bound(series: PadicPowerSeries, order: int, p: int) -> int | Non
 def common_zeros(ds: DiscSeries) -> tuple[list[Point], int]:
     """Points of the disc where all three series vanish, plus the series used.
 
-    Each series gets its Strassmann bound after t = p*s, and the series are
-    tried by (bound, index).  A least bound of 0 proves that the disc holds
-    no common zero.  Otherwise the Z_p roots of the truncation are found,
-    at most the bound many; a root cluster that cannot be separated at the
-    working precision moves on to the next series, and AllSeriesDegenerate
-    is raised when none is left.  The roots are checked against the other
-    two series at the precision floor N - 3.  Each point's coordinates carry
-    only the digits that the truncated series determines.
+    Each series gets its Strassmann bound after t = p*s.  The first series
+    of bound 0 proves that the disc holds no common zero.  Otherwise the
+    first series of bound 1 has at most one Z_p root, found from its
+    truncation and checked against the other two series at the precision
+    floor N - 3.  A disc with neither has a broken chart, since one basis
+    differential pulls back with a unit constant term, and raises
+    InternalInvariant.  Each point's coordinates carry only the digits that
+    the truncated series determines.
     """
     ring = ds.chart.ring
     p = ring.p
     order = min(s.order for s in ds.series)
     floor = ring.prec - 3
-    ranked = sorted(
-        (b, i)
-        for i, f_i in enumerate(ds.series)
-        if (b := _strassmann_bound(f_i, order, p)) is not None
-    )
-    if ranked and ranked[0][0] == 0:
-        return [], ranked[0][1]
-    for bound, chosen in ranked:
-        # rescale t = p*s so the roots of interest are the Z_p roots
-        rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
-        try:
-            roots = padic_poly_roots(rescaled)
-        except PrecisionExhausted:
-            continue
-        break
-    else:
-        raise AllSeriesDegenerate(f"no series has separable roots on disc {ds.disc}")
-    if len(roots) > bound:
+    bounds = [_strassmann_bound(f_i, order, p) for f_i in ds.series]
+    if 0 in bounds:
+        return [], bounds.index(0)
+    if 1 not in bounds:
+        raise InternalInvariant(f"no series has Strassmann bound at most 1 on disc {ds.disc} (internal)")
+    chosen = bounds.index(1)
+    # rescale t = p*s so the roots of interest are the Z_p roots
+    roots = padic_poly_roots([c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])])
+    if len(roots) > 1:
         raise ZeroBoundExceeded(
-            f"{len(roots)} roots of series {chosen} on disc {ds.disc} exceed "
-            f"its Strassmann bound {bound}"
+            f"{len(roots)} roots of series {chosen} on disc {ds.disc} exceed its Strassmann bound 1"
         )
-    slope_series = ds.series[chosen].derivative()
-    points = []
-    for s_root in roots:
-        t_root = s_root.shift(1)
-        ok = True
-        for j in range(len(ds.series)):
-            if j == chosen:
-                continue
-            val = ds.series_value(t_root, j)
-            r = val.congruent(PadicScalar.zero(p, floor), required=floor)
-            if r is None:
-                raise PrecisionExhausted(
-                    f"vanishing undecidable at floor {floor} on disc {ds.disc}"
-                )
-            if r is False:
-                ok = False
-                break
-        if ok:
-            # a root of the truncation is the series' root only to the
-            # precision of the series there, less the valuation of its
-            # slope (Hensel)
-            slope = slope_series.evaluate(t_root)
-            known = ds.series_value(t_root, chosen).prec - slope.val
-            points.append(ds.chart.point_at(t_root.cap(known)))
-    return points, chosen
-
-
-_PRIME_CAP = 100  # the last prime a run escalates to
+    if not roots:
+        return [], chosen
+    t_root = roots[0].shift(1)
+    for j in range(len(ds.series)):
+        if j == chosen:
+            continue
+        r = ds.series_value(t_root, j).congruent(PadicScalar.zero(p, floor), required=floor)
+        if r is None:
+            raise PrecisionExhausted(f"vanishing undecidable at floor {floor} on disc {ds.disc}")
+        if r is False:
+            return [], chosen
+    # a root of the truncation is the series' root only to the precision of
+    # the series there, less the valuation of its slope (Hensel)
+    slope = ds.series[chosen].derivative().evaluate(t_root)
+    known = ds.series_value(t_root, chosen).prec - slope.val
+    return [ds.chart.point_at(t_root.cap(known))], chosen
 
 
 def run_chabauty(
@@ -236,11 +215,10 @@ def run_chabauty(
     Requires a validated monic odd-degree genus-3 model whose Jacobian has
     Mordell-Weil rank 0 (the rank is a trusted input).  The search itself
     never uses known rational points: they only cross-check the output,
-    and one missing from it raises NonTorsionExtra.  When no series in some
-    disc has separable roots the run escalates to the next prime of good
-    reduction, up to _PRIME_CAP; a starting prime of bad reduction counts as
-    one escalation.  More common zeros than Coleman's bound allows raise
-    ZeroBoundExceeded.
+    and one missing from it raises NonTorsionExtra.  The run uses one prime:
+    the first of good reduction from p (7 by default); a starting prime of
+    bad reduction counts as one escalation.  A disc with more than one
+    common zero before mirroring raises ZeroBoundExceeded.
     """
     if curve.genus != 3:
         raise ValueError("the driver is specific to genus 3")
@@ -250,19 +228,8 @@ def run_chabauty(
     for kp in known_points:
         if not curve.contains(kp):
             raise ValueError(f"known point {kp} is not on the curve")
-    p_current = good_reduction_prime(curve, p if p is not None else 7)
-    escalations = 1 if (p is not None and p_current != p) else 0
-    while True:
-        if p_current > _PRIME_CAP:
-            raise PrecisionExhausted(
-                f"no prime below the cap {_PRIME_CAP} avoided degenerate series"
-            )
-        try:
-            out = _run_at_prime(curve, p_current, precision, escalations)
-            break
-        except AllSeriesDegenerate:
-            p_current = good_reduction_prime(curve, p_current + 1)
-            escalations += 1
+    prime = good_reduction_prime(curve, p if p is not None else 7)
+    out = _run_at_prime(curve, prime, precision, int(p is not None and prime != p))
     got_rational = {_rational_key(c.rational) for c in out.rational}
     for kp in known_points:
         if _rational_key(kp) not in got_rational:
@@ -283,6 +250,9 @@ def _run_at_prime(curve, p, precision, escalations) -> ChabautyOutput:
     disc_logs: list[DiscLog] = []
     for disc, mirrored in discs:
         zeros, chosen = common_zeros(disc_series(curve, fa, disc))
+        # the first series of bound 1 has at most one zero on the disc
+        if len(zeros) > 1:
+            raise ZeroBoundExceeded(f"{len(zeros)} common zeros on disc {disc} at p = {p} exceed the disc bound 1")
         local: list[Point] = []
         for z in zeros:
             _append_unique(local, z, floor)
@@ -295,13 +265,6 @@ def _run_at_prime(curve, p, precision, escalations) -> ChabautyOutput:
     # discs, one per unmirrored disc and two per mirrored one
     if fp_count != sum(1 + mirrored for _, mirrored in discs):
         raise InternalInvariant(f"#C(F_{p}) = {fp_count} from P(T) disagrees with the F_p points")
-    # each common zero is a zero of the first integral from infinity, which
-    # has at most #C(F_p) + 2g - 2 zeros in C(Q_p) when p > 2g (Coleman)
-    coleman_bound = fp_count + 2 * curve.genus - 2
-    if len(found) > coleman_bound:
-        raise ZeroBoundExceeded(
-            f"{len(found)} common zeros at p = {p} exceed Coleman's bound {coleman_bound}"
-        )
 
     rational: list[ClassifiedPoint] = []
     two_torsion: list[ClassifiedPoint] = []

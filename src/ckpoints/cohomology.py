@@ -174,19 +174,21 @@ class _ReductionState:
     corrections, every value a plain residue modulo p^nw of the p-adic
     value times p^headroom."""
 
-    def __init__(self, fints, dints, sfints, p, nw, genus, headroom=0, *, degree0=None, units=None):
+    def __init__(self, fints, dints, p, nw, genus, headroom, *, maps, columns, degree0, units):
         self.f = fints
         self.df = dints
-        self.sf = sfints  # (F')^{-1} mod F
         self.p = p
         self.nw = nw
         self.m = p**nw
         self.g = genus
         self.headroom = headroom
-        # the level-0 degree the caller sized its loss for, by default the Frobenius sweep's
-        self.degree0 = _level0_degree(p) if degree0 is None else degree0
+        # _pole_maps and their _pole_columns, built once per F and modulus
+        self.maps = maps
+        self.columns = columns
+        # the level-0 degree the caller sized its loss for
+        self.degree0 = degree0
         # the divisors' unit parts, shared by the states of one Frobenius attempt
-        self.units = _UnitParts(p, self.m) if units is None else units
+        self.units = units
         self.levels: dict[int, list[int]] = {}
         self.corrections: dict[int, list[int]] = {}
 
@@ -200,14 +202,12 @@ class _ReductionState:
 
     def sweep(self):
         """Reduce all pole levels and the level-0 degree to the basis."""
-        p, m = self.p, self.m
+        m = self.m
         two_g = 2 * self.g
-        maps = _pole_maps(tuple(self.f), tuple(self.df), tuple(self.sf), m)
-        columns = _pole_columns(*maps, m)
         levels = self.levels
         for s in range(max(levels, default=0), 0, -1):
             if b_in := levels.pop(s, None):
-                carry, corr = _pole_step(*maps, b_in, s, p, m, columns, self.units)
+                carry, corr = _pole_step(*self.maps, b_in, s, m, self.columns, self.units)
                 if corr:  # the one correction at y^(1 - 2s)
                     self.corrections[1 - 2 * s] = corr
                 _accumulate(levels, s - 1, carry, m)
@@ -291,8 +291,7 @@ def _reduction_data(curve: HyperellipticCurve, p: int, nw: int):
     return f, df, _lift_poly_inverse(df, sf_p, f, p, nw)
 
 
-@functools.lru_cache(maxsize=4)
-def _pole_maps(f: tuple, df: tuple, sf: tuple, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _pole_maps(f: list[int], df: list[int], sf: list[int], m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Rows of S: b -> b (F')^(-1) mod F and Q: b -> (b - S(b) F')/F modulo m,
     on numerators b of up to 2 deg F - 1 coefficients."""
     n = len(f) - 1
@@ -308,7 +307,6 @@ def _pole_maps(f: tuple, df: tuple, sf: tuple, m: int) -> tuple[tuple[tuple[int,
     return tuple(zip(*cols_s)), tuple(zip(*cols_q))
 
 
-@functools.lru_cache(maxsize=4)
 def _pole_columns(s_rows, q_rows, m: int) -> tuple[int, list[int]]:
     """[S; Q] as packed columns (intpoly.pack_columns): column j holds S x^j
     in slots 0 .. deg F - 1 and Q x^j above, each slot wide enough for the
@@ -316,16 +314,16 @@ def _pole_columns(s_rows, q_rows, m: int) -> tuple[int, list[int]]:
     return pack_columns(list(zip(*s_rows, *q_rows)), m)
 
 
-def _pole_step(s_rows, q_rows, b_in: list[int], s: int, p: int, m: int, columns=None, units=None):
+def _pole_step(s_rows, q_rows, b_in: list[int], s: int, m: int, columns, units: "_UnitParts"):
     """(carry, correction) of b_in at pole level s: with b = S b_in, the
     correction b/(1 - 2s) and the carry Q b_in - 2 (b/(1 - 2s))'.  S b_in
-    and Q b_in are one sum over the packed columns of [S; Q]; a sweep
-    passes them and its _UnitParts in, found once, rather than hash the
-    rows and invert 1 - 2s at every level."""
-    size, cols = columns or _pole_columns(s_rows, q_rows, m)
+    and Q b_in are one sum over the packed columns of [S; Q]
+    (_pole_columns), which a sweep builds once, as it finds the unit part
+    of each 1 - 2s once in units."""
+    size, cols = columns
     n = len(s_rows)
     slots = apply_columns(size, cols, b_in, n + len(q_rows))
-    b = _divide_exactly(slots[:n], 1 - 2 * s, units if units is not None else _UnitParts(p, m))
+    b = _divide_exactly(slots[:n], 1 - 2 * s, units)
     carry = [(a_i - 2 * i * b[i]) % m for i, a_i in enumerate(slots[n:], 1)]
     return trim(carry), trim(b)
 
@@ -385,10 +383,12 @@ def _frobenius_attempt(curve, p, n_target, k_max, nw, loss, headroom) -> Frobeni
     acc = _binomial_series(_e_digits(curve, p, nw), f, p, nw, k_max)
 
     monomials = [_fadic_digits([0] * (p * i + p - 1) + [1], f, m) for i in range(2 * g)]
-    degree0, units = _level0_degree(p), _UnitParts(p, m)  # loss sized by _sweep_losses
+    maps = _pole_maps(f, df, sf, m)
+    packed, units = _pole_columns(*maps, m), _UnitParts(p, m)
+    degree0 = _level0_degree(p)  # the bound _sweep_losses sizes the loss for
     columns, corrections = [], []
     for sums in _level_sums(acc, monomials, m, (p - 1) // 2):
-        state = _ReductionState(f, df, sf, p, nw, g, headroom, degree0=degree0, units=units)
+        state = _ReductionState(f, df, p, nw, g, headroom, maps=maps, columns=packed, degree0=degree0, units=units)
         for lvl, row in sums.items():
             state.add(lvl, row)
         state.sweep()
@@ -553,7 +553,9 @@ def reduce_odd_differential(
     nw = ring.prec + 2 * loss + 4
     m = p**nw
     f, df, sf = _reduction_data(curve, p, nw)
-    state = _ReductionState(f, df, sf, p, nw, curve.genus, loss, degree0=len(numerator))
+    maps = _pole_maps(f, df, sf, m)
+    state = _ReductionState(f, df, p, nw, curve.genus, loss, maps=maps, columns=_pole_columns(*maps, m),
+                            degree0=len(numerator), units=_UnitParts(p, m))
     for k, digit in enumerate(_fadic_digits([c % m for c in numerator], f, m)):
         state.add(pole_level - k, digit)
     state.sweep()

@@ -535,6 +535,9 @@ def parse_curve_line(line: str) -> list[Fraction]:
     out = []
     for piece in body.split(","):
         piece = piece.strip()
+        # Fraction expands 1e9999999999 into an integer of about 4 GB
+        if "e" in piece.lower():
+            raise ParseError(f"bad coefficient {piece!r}: exponent notation is not accepted")
         try:
             out.append(Fraction(piece))
         except (ValueError, ZeroDivisionError) as exc:

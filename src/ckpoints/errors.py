@@ -57,12 +57,8 @@ class SingularSystem(CkError):
     """The Frobenius linear system was singular; indicates an internal bug."""
 
 
-class AllSeriesDegenerate(CkError):
-    """No integral series has separable roots on a disc; escalate the prime."""
-
-
 class ZeroBoundExceeded(CkError):
-    """More zeros than Strassmann's or Coleman's bound allows (internal bug)."""
+    """More zeros than a Strassmann bound allows (internal bug)."""
 
 
 class RoundingAmbiguous(CkError):

@@ -24,7 +24,7 @@ from ckpoints.curve import (
     involution,
     search_rational_points,
 )
-from ckpoints.errors import AllSeriesDegenerate, InternalInvariant, PrecisionExhausted, ZeroBoundExceeded
+from ckpoints.errors import InternalInvariant, PrecisionExhausted, ZeroBoundExceeded
 from ckpoints.intpoly import taylor_shift
 from ckpoints.padic import (
     PadicPowerSeries,
@@ -270,12 +270,32 @@ def _as_tuple(point):
 
 
 def test_all_series_degenerate_raises(ex1, fa1):
+    # t^2 has Strassmann bound 2: a chart with no series of bound at most 1
+    # is broken, and no other series or prime is tried
     ds = disc_series(ex1, fa1, Point(6, 2))
     ring = PadicRing(7, 18)
-    square = ring.series([0, 0, 1], 15)  # t^2: a certified double root
+    square = ring.series([0, 0, 1], 15)
     ds.series = [square, square, square]
-    with pytest.raises(AllSeriesDegenerate):
+    with pytest.raises(InternalInvariant, match="bound at most 1"):
         common_zeros(ds)
+
+
+@pytest.mark.parametrize("p, discs", [(7, 16), (11, 26)])
+def test_every_disc_has_a_series_of_bound_at_most_one(ex1, ex2, ex3_monic, p, discs):
+    # the basis differential with a unit constant term in the disc's chart,
+    # dx/2y on an affine disc and x^2 dx/2y at infinity, integrates to a
+    # series with a unit t-coefficient, hence of bound at most 1
+    seen = 0
+    for curve in (ex1, ex2, ex3_monic[0]):
+        fa = _fa(curve, p)
+        for disc, _ in fp_disc_representatives(curve, p):
+            ds = disc_series(curve, fa, disc)
+            unit = 2 if disc.at_infinity else 0
+            assert ds.series[unit].coeffs[1].val == 0, disc
+            order = min(s.order for s in ds.series)
+            assert _strassmann_bound(ds.series[unit], order, p) <= 1, disc
+            seen += 1
+    assert seen == discs
 
 
 def test_example2_rational_list_prime_invariant(ex2, shared_actions):
@@ -428,17 +448,6 @@ def test_bound_zero_disc_needs_no_root_finding(ex1, fa1, monkeypatch):
     assert common_zeros(ds) == ([], 1)
 
 
-def test_degenerate_series_falls_through_to_the_next_bound(ex1, fa1):
-    # t^2 (bound 2) has a double root; t^3 - 49t (bound 3) has the simple
-    # roots 0 and +-7, and only t = 0 is a zero of t^2
-    ds = disc_series(ex1, fa1, Point(6, 2))
-    square = R7.series([0, 0, 1], 15)
-    ds.series = [square, R7.series([0, -49, 0, 1], 15), square]
-    zeros, chosen = common_zeros(ds)
-    assert chosen == 1
-    assert len(zeros) == 1 and (zeros[0].x - ds.base.x).is_zero
-
-
 def test_more_roots_than_the_strassmann_bound_raise(ex1, fa1, monkeypatch):
     ds = disc_series(ex1, fa1, Point(4, 0))  # every series has bound 1
     real = chabauty.padic_poly_roots
@@ -447,20 +456,18 @@ def test_more_roots_than_the_strassmann_bound_raise(ex1, fa1, monkeypatch):
         common_zeros(ds)
 
 
-def test_coleman_bound_fires_on_a_padded_zero_list(ex1, monkeypatch, shared_actions):
-    out = run_chabauty(ex1, 7, [])
-    found = len(out.rational) + len(out.two_torsion_extras) + len(out.higher_torsion_extras)
-    coleman_bound = out.fp_count + 2 * ex1.genus - 2
-    # distinct fake points with y = 0, which the involution maps to themselves
-    padding = [Point(R7(100 + k), R7(0)) for k in range(coleman_bound - found + 1)]
+def test_disc_bound_fires_on_a_padded_zero_list(ex1, monkeypatch, shared_actions):
+    # a fake second zero on the infinity disc, whose series of bound 1 allows
+    # one; the whole run would stay far below Coleman's #C(F_p) + 2g - 2
+    fake = Point(R7(100), R7(0))
     real = chabauty.common_zeros
 
     def padded(ds):
         zeros, chosen = real(ds)
-        return (zeros + padding if ds.disc.at_infinity else zeros), chosen
+        return (zeros + [fake] if ds.disc.at_infinity else zeros), chosen
 
     monkeypatch.setattr(chabauty, "common_zeros", padded)
-    with pytest.raises(ZeroBoundExceeded, match="Coleman"):
+    with pytest.raises(ZeroBoundExceeded, match="2 common zeros on disc .* exceed the disc bound 1"):
         run_chabauty(ex1, 7, [])
 
 
@@ -487,6 +494,10 @@ def test_char_poly_off_by_one_fails_the_point_count_check(ex1, monkeypatch):
         run_chabauty(ex1, 7)
 
 
+class _NoSeparableSeries(Exception):
+    """The discriminant oracle found no series with separable roots."""
+
+
 def _discriminant_common_zeros(ds):
     """common_zeros as certified before Strassmann bounds, kept as the oracle.
 
@@ -504,7 +515,7 @@ def _discriminant_common_zeros(ds):
             chosen = i
             break
     if chosen is None:
-        raise AllSeriesDegenerate(f"all series have multiple roots on disc {ds.disc}")
+        raise _NoSeparableSeries(f"all series have multiple roots on disc {ds.disc}")
     rescaled = [c.shift(n) for n, c in enumerate(ds.series[chosen].coeffs[: order + 1])]
     roots = padic_poly_roots(rescaled)
     slope_series = ds.series[chosen].derivative()
@@ -542,7 +553,7 @@ def test_strassmann_certificate_matches_discriminant_oracle(ex1, ex2, ex3_monic,
             ds = disc_series(curve, fa, disc)
             try:
                 want, want_chosen = _discriminant_common_zeros(ds)
-            except AllSeriesDegenerate:
+            except _NoSeparableSeries:
                 continue
             got, chosen = common_zeros(ds)
             assert [repr(z) for z in got] == [repr(z) for z in want], disc

@@ -457,10 +457,10 @@ class _RunningExponentState:
     entries, the polynomial standing for its value times p^exponent.
     """
 
-    def __init__(self, fints, dints, sfints, p, nw, genus):
+    def __init__(self, fints, dints, maps, p, nw, genus):
         self.f = fints
         self.df = dints
-        self.sf = sfints  # (F')^{-1} mod F
+        self.maps = maps  # cohomology._pole_maps
         self.p = p
         self.nw = nw
         self.m = p**nw
@@ -488,11 +488,10 @@ class _RunningExponentState:
         """Reduce all pole levels and the level-0 degree to the basis."""
         p, m = self.p, self.m
         two_g = 2 * self.g
-        maps = cohomology._pole_maps(tuple(self.f), tuple(self.df), tuple(self.sf), m)
         while (s := max(self.levels, default=0)) > 0:
             b_in = self._current(self.levels.pop(s))
             if b_in:
-                v, _, carry, corr = _running_pole_step(*maps, b_in, s, p, m)
+                v, _, carry, corr = _running_pole_step(*self.maps, b_in, s, p, m)
                 self.e += v
                 if corr:
                     self._accumulate(self.corrections, 1 - 2 * s, corr)
@@ -548,9 +547,9 @@ def _running_exponent_action(curve, p, n_target):
     nw = n_target + sum(int_valuation(2 * s - 1, p) for s in range(1, s_max + 1)) + chain_loss + 4
 
     class State(_RunningExponentState):
-        def __init__(self, f, df, sf, p, nw, genus, headroom, *, degree0, units):
-            # the running exponent needs no degree bound and finds its own units
-            super().__init__(f, df, sf, p, nw, genus)
+        def __init__(self, f, df, p, nw, genus, headroom, *, maps, columns, degree0, units):
+            # the running exponent needs no degree bound, packed columns or shared units
+            super().__init__(f, df, maps, p, nw, genus)
 
         def published(self, n_target, loss):
             return super().published(n_target)
@@ -566,7 +565,7 @@ def _running_exponent_reduction(curve, ring, numerator, pole_level):
     nw = ring.prec + pole_level + 8
     m = p**nw
     f, df, sf = cohomology._reduction_data(curve, p, nw)
-    state = _RunningExponentState(f, df, sf, p, nw, curve.genus)
+    state = _RunningExponentState(f, df, cohomology._pole_maps(f, df, sf, m), p, nw, curve.genus)
     for k, digit in enumerate(_fadic_digits([c % m for c in numerator], f, m)):
         state.add(pole_level - k, digit)
     state.sweep()
@@ -783,8 +782,9 @@ def test_pole_step_matches_split_products(data, p, nw):
     b_in = data.draw(st.lists(st.one_of(st.integers(0, m - 1), st.just(0), st.just(m - 1)), min_size=1, max_size=13))
     # the sweep only divides numerators whose S-image p^v(1 - 2s) divides
     b_in = [c * p ** int_valuation(1 - 2 * s, p) % m for c in b_in]
-    maps = cohomology._pole_maps(tuple(f), tuple(df), tuple(sf), m)
-    assert cohomology._pole_step(*maps, b_in, s, p, m) == _split_pole_step(f, df, sf, b_in, s, p, m)
+    maps = cohomology._pole_maps(f, df, sf, m)
+    step = cohomology._pole_step(*maps, b_in, s, m, cohomology._pole_columns(*maps, m), cohomology._UnitParts(p, m))
+    assert step == _split_pole_step(f, df, sf, b_in, s, p, m)
 
 
 # -- the packed maps at their slot edges ---------------------------------------
@@ -805,10 +805,9 @@ def test_packed_pole_step_at_slot_edges(data, p, nw):
     s = data.draw(st.one_of(st.integers(1, 12 * p), st.builds(lambda j: p * j + (p + 1) // 2, st.integers(0, 12))))
     b_in = data.draw(st.lists(_edge_entries(m), min_size=1, max_size=13))
     b_in = [c * p ** int_valuation(1 - 2 * s, p) % m for c in b_in]
-    maps = cohomology._pole_maps(tuple(f), tuple(df), tuple(sf), m)
-    want = _split_pole_step(f, df, sf, b_in, s, p, m)
-    assert cohomology._pole_step(*maps, b_in, s, p, m) == want
-    assert cohomology._pole_step(*maps, b_in, s, p, m, cohomology._pole_columns(*maps, m)) == want
+    maps = cohomology._pole_maps(f, df, sf, m)
+    step = cohomology._pole_step(*maps, b_in, s, m, cohomology._pole_columns(*maps, m), cohomology._UnitParts(p, m))
+    assert step == _split_pole_step(f, df, sf, b_in, s, p, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -821,28 +820,33 @@ def test_packed_split_matches_divmod_monic(data, p, nw):
     assert cohomology._split_by_f(row, split, m) == divmod_monic(row, f, m)
 
 
+def _sweep_state(curve, p, nw, headroom, degree0):
+    """A _ReductionState for the curve modulo p^nw, with its own pole tables."""
+    m = p**nw
+    f, df, sf = cohomology._reduction_data(curve, p, nw)
+    maps = cohomology._pole_maps(f, df, sf, m)
+    return cohomology._ReductionState(
+        f, df, p, nw, curve.genus, headroom, maps=maps, columns=cohomology._pole_columns(*maps, m),
+        degree0=degree0, units=cohomology._UnitParts(p, m),
+    )
+
+
 def test_level0_degree_above_the_bound_raises_internal_invariant(ex1):
     # the level-0 loss is sized for a degree bound; a polynomial above it
     # would be divided by more factors p than the published digits allow
     p, nw = 7, 24
-    f, df, sf = cohomology._reduction_data(ex1, p, nw)
     bound = cohomology._level0_degree(p)
     level0_loss = cohomology._sweep_losses(p, 1)[1]
-    at_bound = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss, degree0=bound)
+    at_bound = _sweep_state(ex1, p, nw, level0_loss, bound)
     at_bound.add(0, [0] * bound + [1])
     at_bound.sweep()
     assert len(at_bound.levels[0]) <= 6
-    above = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss, degree0=bound)
+    above = _sweep_state(ex1, p, nw, level0_loss, bound)
     above.add(0, [0] * (bound + 1) + [1])
-    with pytest.raises(InternalInvariant, match="exceeds the bound"):
-        above.sweep()
-    # without a bound the state takes the Frobenius sweep's
-    default = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss)
-    default.add(0, [0] * (bound + 1) + [1])
     with pytest.raises(InternalInvariant, match=f"exceeds the bound {bound}"):
-        default.sweep()
+        above.sweep()
     # a state sized for a smaller bound refuses what the Frobenius one takes
-    small = cohomology._ReductionState(f, df, sf, p, nw, 3, level0_loss, degree0=20)
+    small = _sweep_state(ex1, p, nw, level0_loss, 20)
     small.add(0, [0] * 21 + [1])
     with pytest.raises(InternalInvariant, match="exceeds the bound 20"):
         small.sweep()
@@ -853,12 +857,12 @@ def test_inexact_division_raises_internal_invariant(ex1, p, monkeypatch):
     nw = 20
     m = p**nw
     f, df, sf = cohomology._reduction_data(ex1, p, nw)
-    maps = cohomology._pole_maps(tuple(f), tuple(df), tuple(sf), m)
+    maps = cohomology._pole_maps(f, df, sf, m)
     # p divides 1 - 2s at s = (p + 1)/2, and S maps the constant 1 to a unit
     with pytest.raises(InternalInvariant, match="does not divide"):
-        cohomology._pole_step(*maps, [1], (p + 1) // 2, p, m)
+        cohomology._pole_step(*maps, [1], (p + 1) // 2, m, cohomology._pole_columns(*maps, m), cohomology._UnitParts(p, m))
     if p == 7:  # x^6 at level 0 is divided by 2*6 - 6 + 1 = 7
-        state = cohomology._ReductionState(f, df, sf, p, nw, 3)
+        state = _sweep_state(ex1, p, nw, 0, cohomology._level0_degree(p))
         state.add(0, [0] * 6 + [1])
         with pytest.raises(InternalInvariant, match="does not divide"):
             state.sweep()
@@ -902,7 +906,7 @@ def _pole_map_denominators(curve, p, s_max, starts):
     big = sum(int_valuation(2 * s - 1, p) for s in range(1, s_max + 1)) + 20
     m = p**big
     f, df, sf = cohomology._reduction_data(curve, p, big)
-    s_rows, q_rows = cohomology._pole_maps(tuple(f), tuple(df), tuple(sf), m)
+    s_rows, q_rows = cohomology._pole_maps(f, df, sf, m)
     deriv = [[i * (j == i) for j in range(n)] for i in range(1, n)]
     corr_maps, carry_maps = {}, {}
     for s in range(1, s_max + 1):
@@ -934,9 +938,10 @@ def _level0_denominator(curve, p, degree):
     """Largest denominator (power of p) of the level-0 degree steps on x^j, j <= degree."""
     nw = degree + 40
     f, df, sf = cohomology._reduction_data(curve, p, nw)
+    maps = cohomology._pole_maps(f, df, sf, p**nw)
     worst = 0
     for j in range(degree + 1):
-        state = _RunningExponentState(f, df, sf, p, nw, curve.genus)
+        state = _RunningExponentState(f, df, maps, p, nw, curve.genus)
         state.add(0, [0] * j + [1])
         state.sweep()
         col, corr = state.published(10)

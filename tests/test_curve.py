@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ckpoints import curve as curve_mod
 from ckpoints.chabauty import precisions
 from ckpoints.curve import (
     INFINITY,
@@ -576,6 +577,21 @@ def test_parse_curve_line(ex1):
         parse_curve_line("[1, 2, bad]")
     # non-monic lines parse fine; rescaling happens downstream
     assert parse_curve_line("[1,4,6,4,-7,-16,0,8]") == [Fraction(c) for c in EX3_RAW_COEFFS]
+
+
+def test_parse_curve_line_refuses_exponent_notation(monkeypatch):
+    # Fraction("1e9999999999") would build an integer of about 4 GB, so the
+    # token must be refused before Fraction sees it
+    def no_exponents(token):
+        if "e" in token.lower():
+            raise AssertionError(f"Fraction called on {token!r}")
+        return Fraction(token)
+
+    monkeypatch.setattr(curve_mod, "Fraction", no_exponents)
+    for token in ("1e9999999999", "1E999999", "2.5e-3"):
+        with pytest.raises(ParseError, match="exponent notation"):
+            parse_curve_line(f"[{token},0,0,0,0,0,0,1]")
+    assert parse_curve_line("[1/2,0.25,0,0,0,0,0,1]")[:2] == [Fraction(1, 2), Fraction(1, 4)]
 
 
 def _good_reduction_by_gcd(curve, p):
